@@ -23,6 +23,7 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 
 use parking_lot::Mutex;
@@ -155,26 +156,49 @@ where
     let recorder = deepmc_obs::Recorder::current();
     let deques = &deques;
     let f = &f;
+    // A worker claims the front of its own deque as soon as its thread
+    // runs, and siblings steal only from workers that have started: a
+    // thread that starts late never loses its whole share to siblings
+    // that finished short items first, so how much is stolen does not
+    // hinge on thread start-up order. An idle worker retires only once
+    // every sibling has started; until then it yields and retries, so
+    // a late sibling's remaining share can still be stolen.
+    let started: &Vec<AtomicBool> = &(0..workers).map(|_| AtomicBool::new(false)).collect();
     crossbeam::scope(|s| {
         for w in 0..workers {
             let tx = tx.clone();
             let recorder = recorder.clone();
             s.spawn(move |_| {
                 let _attach = recorder.as_ref().map(|r| r.attach(w as u32 + 1));
+                let mut first = deques[w].lock().pop_front();
+                started[w].store(true, Ordering::Release);
                 loop {
                     // Own deque first (front: oldest local item), then
-                    // steal from the back of the nearest non-empty
-                    // sibling. The own-deque guard must drop before the
-                    // steal loop — holding it while locking a sibling
-                    // deadlocks two empty workers against each other.
-                    let own = deques[w].lock().pop_front();
+                    // steal from the back of the nearest started,
+                    // non-empty sibling. The own-deque guard must drop
+                    // before the steal loop — holding it while locking a
+                    // sibling deadlocks two empty workers against each
+                    // other.
+                    let own = first.take().or_else(|| deques[w].lock().pop_front());
+                    // Read before the steal scan: if every sibling had
+                    // started and the scan finds nothing, all deques are
+                    // empty for good.
+                    let all_started = started.iter().all(|s| s.load(Ordering::Acquire));
                     let job = match own {
                         Some(j) => Some((j, false)),
                         None => (1..workers)
-                            .find_map(|d| deques[(w + d) % workers].lock().pop_back())
+                            .map(|d| (w + d) % workers)
+                            .filter(|&v| started[v].load(Ordering::Acquire))
+                            .find_map(|v| deques[v].lock().pop_back())
                             .map(|j| (j, true)),
                     };
-                    let Some(((i, item), stolen)) = job else { return };
+                    let Some(((i, item), stolen)) = job else {
+                        if all_started {
+                            return;
+                        }
+                        std::thread::yield_now();
+                        continue;
+                    };
                     deepmc_obs::counter("pool.items", 1);
                     if stolen {
                         deepmc_obs::counter("pool.steals", 1);

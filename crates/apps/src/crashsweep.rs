@@ -34,10 +34,13 @@
 //! runs once per app as a dynamic cross-check; correct apps report no
 //! races.
 //!
-//! Crash steps are independent (each builds its own pool from scratch),
+//! Crash steps are independent (each starts from a freshly reset pool),
 //! so the sweep fans them out over the shared work-stealing pool
 //! ([`deepmc_analysis::pool`]) and merges per-step results in step order
-//! — the outcome is identical for any [`SweepConfig::jobs`] value.
+//! — the outcome is identical for any [`SweepConfig::jobs`] value. The
+//! prefix and reboot pools come from a per-sweep [`PoolFreeList`] and are
+//! reset in place, at O(lines touched), instead of being allocated per
+//! crash state.
 //!
 //! With [`SweepConfig::prune`] set, the sweep runs as a pruned
 //! crash-state *exploration* ([`crate::explore`]): crash points whose
@@ -67,7 +70,9 @@ use crate::tracker::{DeepMcTracker, NoopTracker, Tracker};
 use crate::workloads::{sweep_script, ClientCtx, OpHistory, ScriptOp};
 use deepmc_analysis::pool::{resolve_jobs_request, run_indexed};
 use deepmc_obs as obs;
-use nvm_runtime::{CrashImage, CrashPolicy, FaultConfig, PmemHeap, PmemPool, PoolConfig};
+use nvm_runtime::{
+    hash, CrashImage, CrashPolicy, FaultConfig, PmemHeap, PoolConfig, PoolFreeList, PooledPool,
+};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
@@ -259,20 +264,28 @@ pub(crate) fn policy_name(p: &CrashPolicy) -> String {
     }
 }
 
-pub(crate) struct AppRun {
-    pub(crate) pool: PmemPool,
+/// The free list one app sweep takes its prefix and reboot pools from.
+pub(crate) fn sweep_pools() -> PoolFreeList {
+    PoolFreeList::new(PoolConfig { size: 4 << 20, shards: 8, ..Default::default() })
+}
+
+pub(crate) struct AppRun<'a> {
+    pub(crate) pool: PooledPool<'a>,
     pub(crate) history: OpHistory,
 }
 
-/// Run the script prefix `0..crash_step` against a fresh fault-injecting
-/// pool. Returns the pool ready to crash plus the recorded operation
-/// history (writes, acks with positions, and buggy-path keys) the
-/// post-recovery oracles compare against.
-pub(crate) fn run_prefix(cfg: &SweepConfig, app: SweepApp, crash_step: usize) -> AppRun {
-    let pool = PmemPool::with_faults(
-        PoolConfig { size: 4 << 20, shards: 8, ..Default::default() },
-        FaultConfig { seed: cfg.seed ^ crash_step as u64, ..cfg.fault },
-    );
+/// Run the script prefix `0..crash_step` against a freshly reset
+/// fault-injecting pool (the fault plan re-seeded per step). Returns the
+/// pool ready to crash plus the recorded operation history (writes, acks
+/// with positions, and buggy-path keys) the post-recovery oracles compare
+/// against.
+pub(crate) fn run_prefix<'a>(
+    cfg: &SweepConfig,
+    app: SweepApp,
+    crash_step: usize,
+    pools: &'a PoolFreeList,
+) -> AppRun<'a> {
+    let pool = pools.fresh(Some(FaultConfig { seed: cfg.seed ^ crash_step as u64, ..cfg.fault }));
     let mut history = OpHistory::default();
     let ops = script(cfg);
     let noop = NoopTracker;
@@ -431,9 +444,10 @@ pub(crate) fn validate_image(
     img: &CrashImage,
     history: &OpHistory,
     flush_faults: u64,
+    pools: &PoolFreeList,
     outcome: &mut StepOutcome,
 ) {
-    let pool2 = img.reboot(8);
+    let pool2 = pools.boot(img);
     let heap2 = PmemHeap::open(&pool2);
     outcome.images_checked += 1;
     let (recovered, report): (HashMap<u64, u64>, _) = match app {
@@ -534,13 +548,18 @@ pub(crate) fn validate_image(
 }
 
 /// Crash after op `crash_step` under every policy and check invariants.
-fn sweep_step(cfg: &SweepConfig, app: SweepApp, crash_step: usize) -> StepOutcome {
+fn sweep_step(
+    cfg: &SweepConfig,
+    app: SweepApp,
+    crash_step: usize,
+    pools: &PoolFreeList,
+) -> StepOutcome {
     let _s = obs::span_lazy("sweep.step", || {
         vec![("app", app.name().to_string()), ("step", crash_step.to_string())]
     });
     let mut outcome = StepOutcome::default();
     {
-        let run = run_prefix(cfg, app, crash_step);
+        let run = run_prefix(cfg, app, crash_step, pools);
         // Faults already injected into this run: recovery drops plus
         // silently dropped clwbs both license missing acked data. The
         // pool's own counter (not the fault plan's) is authoritative:
@@ -557,6 +576,7 @@ fn sweep_step(cfg: &SweepConfig, app: SweepApp, crash_step: usize) -> StepOutcom
                 &img,
                 &run.history,
                 flush_faults,
+                pools,
                 &mut outcome,
             );
         }
@@ -575,16 +595,6 @@ fn sweep_step(cfg: &SweepConfig, app: SweepApp, crash_step: usize) -> StepOutcom
 /// fingerprint — v1 journals fail the header check and start fresh.
 const JOURNAL_MAGIC: &str = "deepmc-sweep-journal-v2";
 
-/// FNV-1a 64-bit, local copy (stability across runs is what matters).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Digest of everything that determines a step's outcome: seed, script
 /// shape, fault plan, bug injection, prune/oracle modes, and the app set.
 /// `jobs` is excluded on purpose — a journal written at `--jobs 4`
@@ -598,7 +608,7 @@ fn config_fingerprint(cfg: &SweepConfig, apps: &[SweepApp]) -> u64 {
         text.push(' ');
         text.push_str(a.name());
     }
-    fnv1a(text.as_bytes())
+    hash::fnv1a(text.as_bytes())
 }
 
 /// One validated class representative within a pruned crash step: the
@@ -853,8 +863,9 @@ fn sweep_app_session(
     if session.is_cancelled() {
         return (outcome, 0, total_steps as u64);
     }
-    outcome.dynamic_reports = dynamic_cross_check(cfg, app);
     let jobs = resolve_jobs_request(cfg.jobs);
+    let pools = sweep_pools();
+    outcome.dynamic_reports = dynamic_cross_check(cfg, app, &pools);
     let steps: Vec<usize> = (1..=total_steps).collect();
     let results = run_indexed(jobs, steps, |_, crash_step| {
         if session.is_cancelled() {
@@ -866,7 +877,7 @@ fn sweep_app_session(
                 return StepResult::Resumed(done.clone());
             }
         }
-        let out = sweep_step(cfg, app, crash_step);
+        let out = sweep_step(cfg, app, crash_step, &pools);
         if let Some(journal) = session.journal {
             let journaled =
                 journal.append(app.name(), crash_step as u64, &JournalEntry::Step(out.clone()));
@@ -907,9 +918,9 @@ fn sweep_app_session(
 
 /// One instrumented, crash-free run of the same script: the dynamic
 /// checker must stay quiet on the correct applications.
-pub(crate) fn dynamic_cross_check(cfg: &SweepConfig, app: SweepApp) -> usize {
+pub(crate) fn dynamic_cross_check(cfg: &SweepConfig, app: SweepApp, pools: &PoolFreeList) -> usize {
     let _s = obs::span_lazy("sweep.dynamic", || vec![("app", app.name().to_string())]);
-    let pool = PmemPool::new(PoolConfig { size: 4 << 20, shards: 8, ..Default::default() });
+    let pool = pools.fresh(None);
     let heap = PmemHeap::open(&pool);
     let tracker = DeepMcTracker::new();
     let strand = tracker.region_begin();
@@ -1044,6 +1055,35 @@ mod tests {
         }
         assert!(any_attributed > 0, "these rates must cost something");
         assert!(any_flushes_dropped > 0, "a 10% dropped-clwb rate must show in pool stats");
+    }
+
+    #[test]
+    fn recovery_survives_poison_on_freshly_allocated_blocks() {
+        // The CLI's fault mix at `--steps 24 --seeds 2`: Redis and NStore
+        // recovery used to read a version from a block the heap had just
+        // handed out, and panicked on its poisoned line.
+        let cfg = SweepConfig {
+            steps: 24,
+            random_seeds: 2,
+            fault: FaultConfig {
+                seed: 1,
+                torn_store_rate: 0.25,
+                dropped_flush_rate: 0.1,
+                poison_rate: 0.002,
+                ..Default::default()
+            },
+            ..SweepConfig::default()
+        };
+        for outcome in sweep(&cfg, &SweepApp::ALL) {
+            assert!(
+                outcome.violations.is_empty(),
+                "{}: {:?}",
+                outcome.app,
+                outcome.violations.first()
+            );
+            assert_eq!(outcome.images_checked, 135, "{}", outcome.app);
+            assert!(outcome.records_dropped > 0, "{}: poisoned records are dropped", outcome.app);
+        }
     }
 
     #[test]

@@ -25,7 +25,8 @@ use crate::crashsweep::policy_name;
 use crate::tracker::NoopTracker;
 use deepmc_analysis::pool::{resolve_jobs_request, run_indexed};
 use deepmc_obs as obs;
-use nvm_runtime::{CrashImage, CrashPolicy, PmemHeap, PmemPool, PoolConfig};
+use nvm_runtime::hash::fnv1a_words;
+use nvm_runtime::{CrashImage, CrashPolicy, PmemHeap, PoolConfig, PoolFreeList, PooledPool};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt::Write as _;
 
@@ -105,27 +106,20 @@ fn policies(cfg: &DsSweepConfig) -> Vec<CrashPolicy> {
     ]
 }
 
-/// FNV-1a mix of the class-key components.
-fn mix(words: &[u64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &w in words {
-        for b in w.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
-
 fn digest_state(h: &mut Vec<u64>, state: &[u64]) {
     h.push(state.len() as u64);
     h.extend_from_slice(state);
 }
 
-/// Run the first `s` script operations against a fresh structure and
-/// return the pool ready to crash.
-fn run_prefix(cfg: &DsSweepConfig, script: &[DsOp], s: usize) -> PmemPool {
-    let pool = PmemPool::new(PoolConfig { size: 1 << 20, shards: 8, ..Default::default() });
+/// Run the first `s` script operations against a fresh structure on a
+/// reset pool and return the pool ready to crash.
+fn run_prefix<'a>(
+    cfg: &DsSweepConfig,
+    script: &[DsOp],
+    s: usize,
+    pools: &'a PoolFreeList,
+) -> PooledPool<'a> {
+    let pool = pools.fresh(None);
     {
         let heap = PmemHeap::open(&pool);
         let inst = DsInstance::create(cfg.kind, cfg.bug, &heap);
@@ -158,8 +152,9 @@ fn validate(
     added: &BTreeSet<u64>,
     s: u64,
     img: &CrashImage,
+    pools: &PoolFreeList,
 ) -> Option<String> {
-    let pool = img.reboot(8);
+    let pool = pools.boot(img);
     let heap = PmemHeap::open(&pool);
     let inst = DsInstance::recover(cfg.kind, cfg.bug, &heap);
     let got = inst.contents();
@@ -197,6 +192,8 @@ pub fn ds_sweep_script(cfg: &DsSweepConfig, script: &[DsOp]) -> DsSweepOutcome {
         .filter_map(|op| if let DsOp::Add(v) = op { Some(*v) } else { None })
         .collect();
     let jobs = resolve_jobs_request(cfg.jobs);
+    // Prefix and reboot pools, reset in place.
+    let pools = PoolFreeList::new(PoolConfig { size: 1 << 20, shards: 8, ..Default::default() });
     let pols = policies(cfg);
     let total = script.len();
     let mut outcome = DsSweepOutcome {
@@ -214,9 +211,9 @@ pub fn ds_sweep_script(cfg: &DsSweepConfig, script: &[DsOp]) -> DsSweepOutcome {
         // over the shared pool, results merge in step order.
         let steps: Vec<usize> = (1..=total).collect();
         let per_step = run_indexed(jobs, steps, |_, s| {
-            let run = run_prefix(cfg, script, s);
+            let run = run_prefix(cfg, script, s, &pools);
             pols.iter()
-                .map(|p| validate(cfg, &models, &added, s as u64, &p.apply(&run)))
+                .map(|p| validate(cfg, &models, &added, s as u64, &p.apply(&run), &pools))
                 .collect::<Vec<_>>()
         });
         for (idx, verdicts) in per_step.into_iter().enumerate() {
@@ -236,7 +233,7 @@ pub fn ds_sweep_script(cfg: &DsSweepConfig, script: &[DsOp]) -> DsSweepOutcome {
         // point, no recovery.
         let steps: Vec<usize> = (1..=total).collect();
         let probes = run_indexed(jobs, steps, |_, s| {
-            let run = run_prefix(cfg, script, s);
+            let run = run_prefix(cfg, script, s, &pools);
             let (floor, hi) = window(cfg, s as u64);
             let mut ctx: Vec<u64> = vec![cfg.oracle as u64, floor, hi];
             if cfg.oracle {
@@ -246,9 +243,9 @@ pub fn ds_sweep_script(cfg: &DsSweepConfig, script: &[DsOp]) -> DsSweepOutcome {
             } else {
                 digest_state(&mut ctx, &added.iter().copied().collect::<Vec<u64>>());
             }
-            let ctx_digest = mix(&ctx);
+            let ctx_digest = fnv1a_words(&ctx);
             pols.iter()
-                .map(|p| mix(&[p.apply(&run).content_hash(), ctx_digest]))
+                .map(|p| fnv1a_words(&[p.apply(&run).content_hash(), ctx_digest]))
                 .collect::<Vec<u64>>()
         });
 
@@ -273,14 +270,14 @@ pub fn ds_sweep_script(cfg: &DsSweepConfig, script: &[DsOp]) -> DsSweepOutcome {
         // still applied in order so representative images are
         // byte-identical to the exhaustive run's.
         let results = run_indexed(jobs, reps_by_step.clone(), |_, (s, rep_pis)| {
-            let run = run_prefix(cfg, script, s);
+            let run = run_prefix(cfg, script, s, &pools);
             pols.iter()
                 .enumerate()
                 .filter_map(|(pi, p)| {
                     let img = p.apply(&run);
                     rep_pis
                         .contains(&pi)
-                        .then(|| (pi, validate(cfg, &models, &added, s as u64, &img)))
+                        .then(|| (pi, validate(cfg, &models, &added, s as u64, &img, &pools)))
                 })
                 .collect::<Vec<_>>()
         });

@@ -45,11 +45,13 @@
 //! two modes never replay each other's journals).
 
 use crate::crashsweep::{
-    dynamic_cross_check, policies, policy_name, run_prefix, script, validate_image, ExploreFrag,
-    JournalEntry, StepOutcome, SweepApp, SweepConfig, SweepOutcome, SweepSession, Violation,
+    dynamic_cross_check, policies, policy_name, run_prefix, script, sweep_pools, validate_image,
+    ExploreFrag, JournalEntry, StepOutcome, SweepApp, SweepConfig, SweepOutcome, SweepSession,
+    Violation,
 };
 use deepmc_analysis::pool::{resolve_jobs_request, run_indexed};
 use deepmc_obs as obs;
+use nvm_runtime::hash::fnv1a_words;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Everything phase A learns about one crash step.
@@ -59,18 +61,6 @@ struct StepProbe {
     class_keys: Vec<u64>,
     /// `clwb`s the fault plan dropped during this step's prefix run.
     flush_faults: u64,
-}
-
-/// FNV-1a-style mix of the class-key components.
-fn class_key(words: &[u64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &w in words {
-        for b in w.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
 }
 
 /// What one phase-B pool job produced for a representative-owning step.
@@ -97,8 +87,9 @@ pub(crate) fn explore_app_session(
     if session.is_cancelled() {
         return (outcome, 0, total_steps as u64);
     }
-    outcome.dynamic_reports = dynamic_cross_check(cfg, app);
     let jobs = resolve_jobs_request(cfg.jobs);
+    let pools = sweep_pools();
+    outcome.dynamic_reports = dynamic_cross_check(cfg, app, &pools);
     let pols = policies(cfg);
 
     // Phase A: probe every crash point — image hash + history digest per
@@ -110,7 +101,7 @@ pub(crate) fn explore_app_session(
             return None;
         }
         let _s = obs::span_lazy("explore.probe", || vec![("step", crash_step.to_string())]);
-        let run = run_prefix(cfg, app, crash_step);
+        let run = run_prefix(cfg, app, crash_step, &pools);
         let flush_faults = run.pool.stats().dropped_flushes;
         let digest = run.history.digest();
         // Cross-step collapsing is only sound for Memcached (see module
@@ -120,7 +111,7 @@ pub(crate) fn explore_app_session(
             .iter()
             .map(|p| {
                 let img = p.apply(&run.pool);
-                class_key(&[img.content_hash(), digest, (flush_faults > 0) as u64, step_key])
+                fnv1a_words(&[img.content_hash(), digest, (flush_faults > 0) as u64, step_key])
             })
             .collect();
         Some(StepProbe { class_keys, flush_faults })
@@ -162,7 +153,7 @@ pub(crate) fn explore_app_session(
             }
         }
         let _s = obs::span_lazy("explore.validate", || vec![("step", crash_step.to_string())]);
-        let run = run_prefix(cfg, app, crash_step);
+        let run = run_prefix(cfg, app, crash_step, &pools);
         let flush_faults = run.pool.stats().dropped_flushes;
         let mut frags: Vec<ExploreFrag> = Vec::with_capacity(rep_pis.len());
         for (pi, policy) in pols.iter().enumerate() {
@@ -177,6 +168,7 @@ pub(crate) fn explore_app_session(
                     &img,
                     &run.history,
                     flush_faults,
+                    &pools,
                     &mut frag,
                 );
                 frags.push(ExploreFrag { policy: pi, outcome: frag });

@@ -220,13 +220,14 @@ impl<'p> NStore<'p> {
         if t.enabled() {
             t.lock_acquire(strand, lock);
         }
-        let tuple = match shard.get(&key) {
-            Some(&a) => a,
+        // A freshly allocated tuple starts at version 0.
+        let (tuple, ver) = match shard.get(&key) {
+            Some(&a) => (a, self.pool.read_u64(a.offset(40))),
             None => {
                 let a = self.heap.alloc(TUPLE_BYTES);
                 assert!(!a.is_null(), "pool exhausted");
                 shard.insert(key, a);
-                a
+                (a, 0)
             }
         };
         let mut bytes = [0u8; 48];
@@ -234,7 +235,6 @@ impl<'p> NStore<'p> {
         for (i, c) in cols.iter().enumerate() {
             bytes[8 + i * 8..16 + i * 8].copy_from_slice(&c.to_le_bytes());
         }
-        let ver = self.pool.read_u64(tuple.offset(40));
         bytes[40..48].copy_from_slice(&(ver + 1).to_le_bytes());
         self.pool.write(tuple, &bytes);
         if t.enabled() {

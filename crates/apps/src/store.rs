@@ -128,18 +128,19 @@ impl<'p> PmKv<'p> {
         if tracker.enabled() {
             tracker.lock_acquire(strand, lock_id);
         }
-        let rec = match shard.get(&key) {
-            Some(&r) => r,
+        // A block the heap just handed out starts at version 0: its old
+        // bytes belong to nobody (and may sit on a poisoned line).
+        let (rec, ver) = match shard.get(&key) {
+            Some(&r) => (r, self.pool.read_u64(r.offset(OFF_VER))),
             None => {
                 let r = self.heap.alloc(RECORD_BYTES);
                 if r.is_null() {
                     return false;
                 }
                 shard.insert(key, r);
-                r
+                (r, 0)
             }
         };
-        let ver = self.pool.read_u64(rec.offset(OFF_VER));
         let mut bytes = [0u8; 32];
         bytes[..8].copy_from_slice(&key.to_le_bytes());
         bytes[8..16].copy_from_slice(&value.to_le_bytes());

@@ -1,0 +1,43 @@
+//! Stdout of the crash-validation commands, pinned byte for byte: any
+//! change to a verdict, a counter or the explored/pruned split of these
+//! runs fails here. The files under `tests/golden/` are the commands'
+//! output; regenerate one only when a change is meant to move it, e.g.
+//! `deepmc crashsweep --app all > crates/deepmc/tests/golden/crashsweep_all.txt`.
+
+use std::path::Path;
+use std::process::Command;
+
+const BIN: &str = env!("CARGO_BIN_EXE_deepmc");
+
+fn assert_golden(args: &[&str], golden: &str) {
+    let out = Command::new(BIN).args(args).output().expect("spawn deepmc");
+    assert!(
+        out.status.success(),
+        "`deepmc {}` exited {:?}:\n{}",
+        args.join(" "),
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(golden);
+    let want = std::fs::read_to_string(&path).expect("read golden file");
+    let got = String::from_utf8(out.stdout).expect("utf-8 stdout");
+    assert_eq!(got, want, "`deepmc {}` drifted from {}", args.join(" "), path.display());
+}
+
+#[test]
+fn exhaustive_crashsweep_matches_golden() {
+    assert_golden(&["crashsweep", "--app", "all"], "crashsweep_all.txt");
+}
+
+#[test]
+fn pruned_oracle_bug_crashsweep_matches_golden() {
+    assert_golden(
+        &["crashsweep", "--app", "all", "--prune", "--oracle", "--inject-bug"],
+        "crashsweep_prune_oracle_bug.txt",
+    );
+}
+
+#[test]
+fn ds_corpus_check_matches_golden() {
+    assert_golden(&["check", "--ds", "all"], "check_ds_all.txt");
+}

@@ -18,7 +18,8 @@
 //! program, crash it under a policy, and check the recovered state for
 //! consistency.
 
-use crate::pool::{PAddr, PmemPool};
+use crate::hash::Fnv;
+use crate::pool::{Line, PAddr, PmemPool, PoolConfig, CACHE_LINE};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -50,20 +51,34 @@ impl CrashPolicy {
 /// A frozen post-crash durable image, readable like a pool. Carries the
 /// set of cache lines the crash left poisoned (media errors): rebooting
 /// transfers them to the new pool, where reads fail until scrubbed.
+///
+/// The image is sparse: only its non-zero cache lines are stored, so two
+/// images hold equal bytes exactly when they compare equal.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CrashImage {
-    bytes: Vec<u8>,
+    /// Image size in bytes.
+    size: u64,
+    /// (global line index, bytes) of every non-zero line, ascending.
+    lines: Vec<(u64, Line)>,
     /// (global line index, transient?) pairs.
     poisoned: Vec<(u64, bool)>,
 }
 
 impl CrashImage {
-    pub fn new(bytes: Vec<u8>) -> CrashImage {
-        CrashImage { bytes, poisoned: Vec::new() }
+    /// `lines` must be ascending by line index and hold no all-zero line.
+    pub(crate) fn from_lines(
+        size: u64,
+        lines: Vec<(u64, Line)>,
+        poisoned: Vec<(u64, bool)>,
+    ) -> CrashImage {
+        debug_assert!(lines.windows(2).all(|w| w[0].0 < w[1].0));
+        debug_assert!(lines.iter().all(|(_, l)| *l != [0; CACHE_LINE as usize]));
+        CrashImage { size, lines, poisoned }
     }
 
-    pub fn with_poison(bytes: Vec<u8>, poisoned: Vec<(u64, bool)>) -> CrashImage {
-        CrashImage { bytes, poisoned }
+    /// The non-zero lines, ascending by line index.
+    pub(crate) fn lines(&self) -> &[(u64, Line)] {
+        &self.lines
     }
 
     /// Lines the crash poisoned.
@@ -74,7 +89,9 @@ impl CrashImage {
     /// Content hash of the *durable* identity of this crash state: the
     /// image bytes plus the set of permanently poisoned lines. Two images
     /// with equal hashes recover identically, so crash-state explorers may
-    /// collapse them into one equivalence class.
+    /// collapse them into one equivalence class. Only the non-zero lines
+    /// are hashed (with their indices), so the cost is O(lines in the
+    /// image), not O(size).
     ///
     /// Transient poison is deliberately excluded: it clears after a single
     /// failed read, and every recovery path reads through
@@ -82,20 +99,13 @@ impl CrashImage {
     /// can never alter what recovery adopts or drops. Hashing it would
     /// split logically identical crash states into distinct classes.
     pub fn content_hash(&self) -> u64 {
-        // FNV-1a over 8-byte words (the image is word-aligned by
-        // construction; a byte-at-a-time fold is ~8x slower on the 4 MiB
-        // pools the sweep uses, which matters in debug test builds).
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |w: u64| {
-            h ^= w;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
-        let mut chunks = self.bytes.chunks_exact(8);
-        for c in &mut chunks {
-            mix(u64::from_le_bytes(c.try_into().unwrap()));
-        }
-        for &b in chunks.remainder() {
-            mix(b as u64);
+        let mut h = Fnv::default();
+        h.word(self.size);
+        for (line, bytes) in &self.lines {
+            h.word(*line);
+            for w in bytes.chunks_exact(8) {
+                h.word(u64::from_le_bytes(w.try_into().expect("8-byte word")));
+            }
         }
         let mut durable_poison: Vec<u64> = self
             .poisoned
@@ -104,29 +114,36 @@ impl CrashImage {
             .map(|&(line, _)| line)
             .collect();
         durable_poison.sort_unstable();
-        mix(0x9E37_79B9_7F4A_7C15 ^ durable_poison.len() as u64);
+        h.word(0x9E37_79B9_7F4A_7C15 ^ durable_poison.len() as u64);
         for line in durable_poison {
-            mix(line);
+            h.word(line);
         }
-        h
+        h.finish()
     }
 
-    /// The raw durable image.
-    pub fn bytes(&self) -> &[u8] {
-        &self.bytes
-    }
-
+    /// Image size in bytes.
     pub fn len(&self) -> usize {
-        self.bytes.len()
+        self.size as usize
     }
 
     pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
+        self.size == 0
     }
 
     pub fn read(&self, addr: PAddr, buf: &mut [u8]) {
-        let a = addr.0 as usize;
-        buf.copy_from_slice(&self.bytes[a..a + buf.len()]);
+        let end = addr.0 + buf.len() as u64;
+        assert!(end <= self.size, "crash image read past its {} bytes", self.size);
+        buf.fill(0);
+        let first = self.lines.partition_point(|&(line, _)| (line + 1) * CACHE_LINE <= addr.0);
+        for (line, bytes) in &self.lines[first..] {
+            let lo = line * CACHE_LINE;
+            if lo >= end {
+                break;
+            }
+            let (from, to) = (lo.max(addr.0), (lo + CACHE_LINE).min(end));
+            buf[(from - addr.0) as usize..(to - addr.0) as usize]
+                .copy_from_slice(&bytes[(from - lo) as usize..(to - lo) as usize]);
+        }
     }
 
     pub fn read_u64(&self, addr: PAddr) -> u64 {
@@ -138,19 +155,8 @@ impl CrashImage {
     /// Boot a fresh pool whose durable *and* visible images equal this
     /// crash image — i.e. restart the machine from the crashed DIMM.
     pub fn reboot(&self, shards: usize) -> PmemPool {
-        let pool = PmemPool::new(crate::PoolConfig {
-            size: self.bytes.len() as u64,
-            shards,
-            ..Default::default()
-        });
-        // Write + persist the image so visible == durable == image. The
-        // poison set is applied after (the image write would scrub it).
-        pool.write(PAddr(0), &self.bytes);
-        pool.flush(PAddr(0), self.bytes.len() as u64);
-        pool.fence();
-        for &(line, transient) in &self.poisoned {
-            pool.poison_line(line, transient);
-        }
+        let mut pool = PmemPool::new(PoolConfig { size: self.size, shards, ..Default::default() });
+        pool.load_image(self);
         pool
     }
 }
@@ -158,7 +164,6 @@ impl CrashImage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::PoolConfig;
 
     fn pool() -> PmemPool {
         PmemPool::new(PoolConfig { size: 1 << 14, shards: 2, ..Default::default() })
@@ -205,18 +210,44 @@ mod tests {
         assert_ne!(CrashPolicy::Pessimistic.apply(&p).content_hash(), h);
 
         // Transient poison is scratch state: same class as the clean image.
-        let bytes = base.bytes().to_vec();
-        let transient = CrashImage::with_poison(bytes.clone(), vec![(3, true), (9, true)]);
+        let with_poison = |poisoned| CrashImage { poisoned, ..base.clone() };
+        let transient = with_poison(vec![(3, true), (9, true)]);
         assert_eq!(transient.content_hash(), h, "transient poison must not split classes");
 
         // Permanent poison changes what recovery can read -> new class.
-        let permanent = CrashImage::with_poison(bytes.clone(), vec![(3, false)]);
+        let permanent = with_poison(vec![(3, false)]);
         assert_ne!(permanent.content_hash(), h);
 
         // Permanent poison order is irrelevant.
-        let a = CrashImage::with_poison(bytes.clone(), vec![(3, false), (9, false)]);
-        let b = CrashImage::with_poison(bytes, vec![(9, false), (3, false)]);
+        let a = with_poison(vec![(3, false), (9, false)]);
+        let b = with_poison(vec![(9, false), (3, false)]);
         assert_eq!(a.content_hash(), b.content_hash());
+    }
+
+    #[test]
+    fn zero_stores_leave_the_image_and_hash_unchanged() {
+        let p = pool();
+        let empty = CrashPolicy::Optimistic.apply(&p);
+        p.write(PAddr(64), &[0; 16]);
+        p.persist(PAddr(64), 16);
+        let zeroed = CrashPolicy::Optimistic.apply(&p);
+        assert_eq!(zeroed, empty, "a touched all-zero line is not stored");
+        assert_eq!(zeroed.content_hash(), empty.content_hash());
+    }
+
+    #[test]
+    fn reads_straddle_stored_and_zero_lines() {
+        let p = pool();
+        p.write(PAddr(60), &[7; 8]); // lines 0 and 1
+        p.write_u64(PAddr(200), 9); // line 3
+        let img = CrashPolicy::Optimistic.apply(&p);
+        let mut buf = [1u8; 256];
+        img.read(PAddr(0), &mut buf);
+        let mut want = [0u8; 256];
+        want[60..68].fill(7);
+        want[200..208].copy_from_slice(&9u64.to_le_bytes());
+        assert_eq!(buf, want);
+        assert_eq!(img.read_u64(PAddr(64 * 200)), 0, "untouched lines read as zero");
     }
 
     #[test]

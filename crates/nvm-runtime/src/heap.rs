@@ -63,21 +63,28 @@ impl<'p> PmemHeap<'p> {
     }
 
     /// Allocate `size` bytes of persistent memory (rounded up to the size
-    /// class). Returns `PAddr::NULL` when the pool is exhausted.
+    /// class). Returns `PAddr::NULL` when the pool is exhausted. Like PMDK
+    /// clearing bad blocks, permanently poisoned lines in the block are
+    /// rewritten as zero lines before it is handed out.
     pub fn alloc(&self, size: u64) -> PAddr {
         let class = class_of(size).min(NUM_CLASSES - 1);
-        if let Some(addr) = self.free_lists.lock()[class].pop() {
-            return addr;
-        }
         let bytes = class_bytes(class);
-        let _g = self.alloc_lock.lock();
-        let cursor = self.pool.read_u64(PAddr(OFF_CURSOR));
-        if cursor + bytes > self.pool.size() {
-            return PAddr::NULL;
-        }
-        self.pool.write_u64(PAddr(OFF_CURSOR), cursor + bytes);
-        self.pool.persist(PAddr(OFF_CURSOR), 8);
-        PAddr(cursor)
+        let recycled = self.free_lists.lock()[class].pop();
+        let addr = match recycled {
+            Some(addr) => addr,
+            None => {
+                let _g = self.alloc_lock.lock();
+                let cursor = self.pool.read_u64(PAddr(OFF_CURSOR));
+                if cursor + bytes > self.pool.size() {
+                    return PAddr::NULL;
+                }
+                self.pool.write_u64(PAddr(OFF_CURSOR), cursor + bytes);
+                self.pool.persist(PAddr(OFF_CURSOR), 8);
+                PAddr(cursor)
+            }
+        };
+        self.pool.clear_bad_lines(addr, bytes);
+        addr
     }
 
     /// Allocate and zero-fill (persisted).
@@ -186,6 +193,23 @@ mod tests {
         let h2 = PmemHeap::open(&p);
         assert_eq!(h2.root(), PAddr(DATA_START));
         assert!(h2.used() >= 64);
+    }
+
+    #[test]
+    fn alloc_clears_permanent_poison_in_the_block() {
+        let p = pool();
+        let h = PmemHeap::open(&p);
+        let first = h.alloc(64);
+        h.free(first, 64);
+        let next = DATA_START + 64;
+        p.poison_line(first.0 / 64, false);
+        p.poison_line(next / 64 + 1, false); // second line of a 256-byte block
+        p.poison_line(next / 64 + 3, true); // transient: left for the owner's store
+        assert_eq!(h.alloc(64), first, "recycled block");
+        assert_eq!(p.try_read_u64(first), Ok(0));
+        assert_eq!(h.alloc(256), PAddr(next), "bump-allocated block");
+        assert_eq!(p.try_read_u64(PAddr(next + 64)), Ok(0));
+        assert_eq!(p.poisoned_line_count(), 1, "only the transient line is left");
     }
 
     #[test]

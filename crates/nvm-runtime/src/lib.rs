@@ -18,7 +18,10 @@
 //!   WAW/RAW detector DeepMC's dynamic checker uses for strand persistency
 //!   (the stand-in for the paper's 458-line ThreadSanitizer customization).
 //! * [`crash`] — crash-state sampling and recovery validation helpers used
-//!   to reproduce the paper's manual bug validation.
+//!   to reproduce the paper's manual bug validation. Crash images are
+//!   sparse and every crash-path primitive (image, hash, reset, reboot)
+//!   costs O(lines the program touched), not O(pool size).
+//! * [`hash`] — the one FNV-1a hash the crash engine keys its state on.
 //! * [`fault`] — deterministic fault injection: torn stores, silently
 //!   dropped `clwb`s, and poisoned lines surfacing as media errors, so
 //!   recovery code can be validated against hardware-level failure modes
@@ -27,16 +30,20 @@
 pub mod clock;
 pub mod crash;
 pub mod fault;
+pub mod hash;
 pub mod heap;
 pub mod pool;
 pub mod race;
 pub mod shadow;
 pub mod tx;
 
+#[cfg(test)]
+mod dense_oracle;
+
 pub use clock::VectorClock;
 pub use crash::{CrashImage, CrashMatrix, CrashMatrixReport, CrashPolicy};
 pub use fault::{FaultConfig, FaultPlan, FaultStats, PmemError};
 pub use heap::PmemHeap;
-pub use pool::{PAddr, PmemPool, PoolConfig, PoolStats, CACHE_LINE};
+pub use pool::{PAddr, PmemPool, PoolConfig, PoolFreeList, PoolStats, PooledPool, CACHE_LINE};
 pub use race::{RaceDetector, RaceKind, RaceReport, StrandId};
 pub use tx::{Tx, TxManager};

@@ -9,6 +9,8 @@
 //!
 //! Per 64-byte cache line the pool tracks a line state:
 //!
+//! * `Untouched` — never stored to since the pool booted or was reset:
+//!   zero in both images.
 //! * `Clean` — visible == durable for this line.
 //! * `Dirty` — stored to, no write-back issued. The cache may evict it *at
 //!   any time* ("the order in which stored values are made persistent
@@ -22,19 +24,30 @@
 //! multiple client threads) scale. A `fence` takes the shards in index
 //! order.
 //!
+//! Each shard also lists the lines that ever left `Untouched`. Crash
+//! images, [`PmemPool::reset`] and reboots ([`PmemPool::load_image`]) visit
+//! only those, so the crash path costs what the program touched rather
+//! than the pool size, and a [`PoolFreeList`] lets a sweep reuse pools
+//! instead of allocating and zeroing two per crash state.
+//!
 //! An optional latency model charges a busy-wait per write-back and fence,
 //! so performance bugs (redundant flushes, §3.3: "an additional writeback
 //! can introduce extra latency by 2–4×") have measurable cost.
 
+use crate::crash::CrashImage;
 use crate::fault::{FaultConfig, FaultPlan, FaultStats, PmemError};
 use deepmc_obs as obs;
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Cache-line size in bytes.
 pub const CACHE_LINE: u64 = 64;
+
+/// The bytes of one cache line.
+pub(crate) type Line = [u8; CACHE_LINE as usize];
 
 /// A persistent-memory address (byte offset within the pool).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -58,6 +71,7 @@ impl PAddr {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LineState {
+    Untouched,
     Clean,
     Dirty,
     FlushPending,
@@ -73,20 +87,46 @@ struct Shard {
     /// Local indices of lines in `FlushPending` state, so a fence drains
     /// in O(pending) instead of scanning the whole shard.
     pending: Vec<u32>,
+    /// Local indices of the lines that left `Untouched`, in first-touch
+    /// order (sorted on demand by [`PmemPool::crash_image`]).
+    touched: Vec<u32>,
 }
 
 impl Shard {
-    fn mark(&mut self, first_line: u64, last_line: u64, state: LineState) {
+    fn mark_dirty(&mut self, first_line: u64, last_line: u64) {
         let base_line = self.base / CACHE_LINE;
         for l in first_line..=last_line {
             let idx = (l - base_line) as usize;
-            match (self.lines[idx], state) {
-                // clwb on a clean line is legal but pointless; it must not
-                // resurrect the line to pending.
-                (LineState::Clean, LineState::FlushPending) => {}
-                _ => self.lines[idx] = state,
+            if self.lines[idx] == LineState::Untouched {
+                self.touched.push(idx as u32);
             }
+            self.lines[idx] = LineState::Dirty;
         }
+    }
+
+    /// Set local line `idx` to `bytes` in both images, `Clean`.
+    fn load_line(&mut self, idx: usize, bytes: &Line) {
+        if self.lines[idx] == LineState::Untouched {
+            self.touched.push(idx as u32);
+        }
+        let a = idx * CACHE_LINE as usize;
+        let b = a + CACHE_LINE as usize;
+        self.visible[a..b].copy_from_slice(bytes);
+        self.durable[a..b].copy_from_slice(bytes);
+        self.lines[idx] = LineState::Clean;
+    }
+
+    /// Return every touched line to `Untouched`: O(lines touched).
+    fn clear(&mut self) {
+        for &idx in &self.touched {
+            let a = idx as usize * CACHE_LINE as usize;
+            let b = a + CACHE_LINE as usize;
+            self.visible[a..b].fill(0);
+            self.durable[a..b].fill(0);
+            self.lines[idx as usize] = LineState::Untouched;
+        }
+        self.touched.clear();
+        self.pending.clear();
     }
 }
 
@@ -204,8 +244,9 @@ impl PmemPool {
                     base: i as u64 * shard_bytes,
                     visible: vec![0; shard_bytes as usize],
                     durable: vec![0; shard_bytes as usize],
-                    lines: vec![LineState::Clean; (shard_bytes / CACHE_LINE) as usize],
+                    lines: vec![LineState::Untouched; (shard_bytes / CACHE_LINE) as usize],
                     pending: Vec::new(),
+                    touched: Vec::new(),
                 })
             })
             .collect();
@@ -221,6 +262,37 @@ impl PmemPool {
             poisoned: Mutex::new(HashMap::new()),
             cas_lock: Mutex::new(()),
         }
+    }
+
+    /// Return the pool to its freshly booted state — both images zero,
+    /// counters zero, no poison — and attach a new fault plan seeded from
+    /// `fault`. Costs O(lines touched since the last reset), not O(size).
+    pub fn reset(&mut self, fault: Option<FaultConfig>) {
+        for shard in &mut self.shards {
+            shard.get_mut().clear();
+        }
+        self.stats = PoolStats::default();
+        self.fault = fault.map(FaultPlan::new);
+        self.poisoned.get_mut().clear();
+    }
+
+    /// Reboot in place from a crash image: [`PmemPool::reset`] without a
+    /// fault plan, then visible == durable == `image`, with the image's
+    /// poison applied. Costs O(lines touched + lines in the image).
+    pub fn load_image(&mut self, image: &CrashImage) {
+        assert!(
+            image.len() as u64 <= self.size,
+            "crash image of {} bytes does not fit a {}-byte pool",
+            image.len(),
+            self.size
+        );
+        self.reset(None);
+        let lines_per_shard = self.shard_bytes / CACHE_LINE;
+        for (line, bytes) in image.lines() {
+            let shard = self.shards[(line / lines_per_shard) as usize].get_mut();
+            shard.load_line((line % lines_per_shard) as usize, bytes);
+        }
+        self.poisoned.get_mut().extend(image.poisoned().iter().copied());
     }
 
     /// Fault counters, when a plan is attached.
@@ -304,7 +376,7 @@ impl PmemPool {
             shard.visible[local..local + n].copy_from_slice(&rest[..n]);
             let first = off / CACHE_LINE;
             let last = (off + n as u64 - 1) / CACHE_LINE;
-            shard.mark(first, last, LineState::Dirty);
+            shard.mark_dirty(first, last);
             drop(shard);
             {
                 let mut poisoned = self.poisoned.lock();
@@ -461,7 +533,9 @@ impl PmemPool {
             for line in l..=upto {
                 let idx = (line - base_line) as usize;
                 match shard.lines[idx] {
-                    LineState::Clean => {
+                    // clwb on a clean line is legal but pointless; it must
+                    // not resurrect the line to pending.
+                    LineState::Untouched | LineState::Clean => {
                         self.stats.clean_flushes.fetch_add(1, Ordering::Relaxed);
                     }
                     LineState::Dirty => {
@@ -544,8 +618,38 @@ impl PmemPool {
     pub fn non_durable_lines(&self) -> u64 {
         self.shards
             .iter()
-            .map(|s| s.lock().lines.iter().filter(|l| **l != LineState::Clean).count() as u64)
+            .map(|s| {
+                let s = s.lock();
+                s.touched
+                    .iter()
+                    .filter(|&&idx| {
+                        matches!(s.lines[idx as usize], LineState::Dirty | LineState::FlushPending)
+                    })
+                    .count() as u64
+            })
             .sum()
+    }
+
+    /// PMDK-style bad-block clearing for a range the allocator hands out:
+    /// rewrite every *permanently* poisoned line in it as a full zero line
+    /// (scrub-on-write), so the new owner's partial stores and later loads
+    /// do not hit media errors. Free when the pool has no poison.
+    pub fn clear_bad_lines(&self, addr: PAddr, len: u64) {
+        if len == 0 {
+            return;
+        }
+        let bad: Vec<u64> = {
+            let poisoned = self.poisoned.lock();
+            if poisoned.is_empty() {
+                return;
+            }
+            (addr.line()..=PAddr(addr.0 + len - 1).line())
+                .filter(|line| poisoned.get(line) == Some(&false))
+                .collect()
+        };
+        for line in bad {
+            self.write(PAddr(line * CACHE_LINE), &[0; CACHE_LINE as usize]);
+        }
     }
 
     /// Snapshot the counters.
@@ -570,7 +674,61 @@ impl PmemPool {
     /// attached, surviving un-retired lines may additionally be torn
     /// (prefix of the last store, suffix of the old bytes) and pool lines
     /// may come back poisoned.
-    pub fn crash_image(&self, policy: &mut dyn FnMut(u64, bool) -> bool) -> crate::CrashImage {
+    ///
+    /// Only touched lines are visited, in ascending line order — the order
+    /// in which `policy` and the fault plan draw their random numbers.
+    pub fn crash_image(&self, policy: &mut dyn FnMut(u64, bool) -> bool) -> CrashImage {
+        let mut lines: Vec<(u64, Line)> = Vec::new();
+        for shard in &self.shards {
+            let mut guard = shard.lock();
+            guard.touched.sort_unstable();
+            let s = &*guard;
+            let base_line = s.base / CACHE_LINE;
+            for &idx in &s.touched {
+                let idx = idx as usize;
+                let line = base_line + idx as u64;
+                let survives = match s.lines[idx] {
+                    LineState::Untouched | LineState::Clean => false,
+                    LineState::Dirty => policy(line, false),
+                    LineState::FlushPending => policy(line, true),
+                };
+                let a = idx * CACHE_LINE as usize;
+                let b = a + CACHE_LINE as usize;
+                let src = if survives { &s.visible } else { &s.durable };
+                let mut bytes: Line = src[a..b].try_into().expect("one cache line");
+                // The line died before its write-back retired: a torn mark
+                // resurfaces the old suffix of the stored span.
+                if survives {
+                    if let Some(mark) = self.fault.as_ref().and_then(|f| f.torn_mark(line)) {
+                        let at = (mark.start - line * CACHE_LINE) as usize;
+                        bytes[at + mark.split..at + mark.old.len()]
+                            .copy_from_slice(&mark.old[mark.split..]);
+                    }
+                }
+                if bytes != [0; CACHE_LINE as usize] {
+                    lines.push((line, bytes));
+                }
+            }
+        }
+        CrashImage::from_lines(self.size, lines, self.crash_poison())
+    }
+
+    /// The lines a crash poisons (fault plan attached), drawn after the
+    /// image's lines.
+    fn crash_poison(&self) -> Vec<(u64, bool)> {
+        match &self.fault {
+            Some(plan) => plan.poison_lines(self.size / CACHE_LINE),
+            None => Vec::new(),
+        }
+    }
+
+    /// Test oracle for [`PmemPool::crash_image`]: the original full-copy
+    /// image over every pool line, as dense bytes plus the poison set.
+    #[cfg(test)]
+    pub(crate) fn dense_crash_image(
+        &self,
+        policy: &mut dyn FnMut(u64, bool) -> bool,
+    ) -> (Vec<u8>, Vec<(u64, bool)>) {
         let mut image = vec![0u8; self.size as usize];
         for shard in &self.shards {
             let s = shard.lock();
@@ -579,7 +737,7 @@ impl PmemPool {
             for (idx, state) in s.lines.iter().enumerate() {
                 let line = s.base / CACHE_LINE + idx as u64;
                 let survives = match state {
-                    LineState::Clean => continue,
+                    LineState::Untouched | LineState::Clean => continue,
                     LineState::Dirty => policy(line, false),
                     LineState::FlushPending => policy(line, true),
                 };
@@ -587,8 +745,6 @@ impl PmemPool {
                     let a = idx * CACHE_LINE as usize;
                     let b = a + CACHE_LINE as usize;
                     image[base + a..base + b].copy_from_slice(&s.visible[a..b]);
-                    // The line died before its write-back retired: a torn
-                    // mark resurfaces the old suffix of the stored span.
                     if let Some(mark) = self.fault.as_ref().and_then(|f| f.torn_mark(line)) {
                         let at = mark.start as usize;
                         image[at + mark.split..at + mark.old.len()]
@@ -597,11 +753,70 @@ impl PmemPool {
                 }
             }
         }
-        let poisoned = match &self.fault {
-            Some(plan) => plan.poison_lines(self.size / CACHE_LINE),
-            None => Vec::new(),
-        };
-        crate::CrashImage::with_poison(image, poisoned)
+        (image, self.crash_poison())
+    }
+}
+
+/// A free list of identically configured pools. A crash sweep takes its
+/// prefix and reboot pools from here — reset or reloaded in place, at
+/// O(lines touched) — instead of allocating and zeroing fresh ones per
+/// crash state.
+pub struct PoolFreeList {
+    config: PoolConfig,
+    free: Mutex<Vec<PmemPool>>,
+}
+
+impl PoolFreeList {
+    /// An empty free list. A pool is built only when none is idle, so it
+    /// never holds more pools than were on loan at one time.
+    pub fn new(config: PoolConfig) -> PoolFreeList {
+        PoolFreeList { config, free: Mutex::new(Vec::new()) }
+    }
+
+    fn take(&self, fault: Option<FaultConfig>) -> PmemPool {
+        let idle = self.free.lock().pop();
+        match idle {
+            Some(mut pool) => {
+                pool.reset(fault);
+                pool
+            }
+            None => PmemPool::build(self.config.clone(), fault.map(FaultPlan::new)),
+        }
+    }
+
+    /// A pool in the freshly booted state with a fault plan seeded from
+    /// `fault` (as [`PmemPool::new`] / [`PmemPool::with_faults`]).
+    pub fn fresh(&self, fault: Option<FaultConfig>) -> PooledPool<'_> {
+        PooledPool { pool: Some(self.take(fault)), home: self }
+    }
+
+    /// A pool rebooted from `image` (as [`CrashImage::reboot`]).
+    pub fn boot(&self, image: &CrashImage) -> PooledPool<'_> {
+        let mut pool = self.take(None);
+        pool.load_image(image);
+        PooledPool { pool: Some(pool), home: self }
+    }
+}
+
+/// A pool on loan from a [`PoolFreeList`]; it goes back on drop.
+pub struct PooledPool<'a> {
+    pool: Option<PmemPool>,
+    home: &'a PoolFreeList,
+}
+
+impl Deref for PooledPool<'_> {
+    type Target = PmemPool;
+
+    fn deref(&self) -> &PmemPool {
+        self.pool.as_ref().expect("pool present until drop")
+    }
+}
+
+impl Drop for PooledPool<'_> {
+    fn drop(&mut self) {
+        if let Some(pool) = self.pool.take() {
+            self.home.free.lock().push(pool);
+        }
     }
 }
 
