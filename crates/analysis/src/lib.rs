@@ -23,7 +23,6 @@
 pub mod callgraph;
 pub mod cfg;
 pub mod dsa;
-pub mod fxhash;
 pub mod pool;
 pub mod program;
 pub mod trace;
@@ -31,8 +30,8 @@ pub mod unionfind;
 
 pub use callgraph::CallGraph;
 pub use cfg::Cfg;
+pub use deepmc_obs::fxhash::{self, FxHashMap, FxHashSet};
 pub use dsa::{DsaResult, FunctionDsg, PersistKind};
-pub use fxhash::{FxHashMap, FxHashSet};
 pub use program::{FuncRef, Program};
 pub use trace::{
     Addr, FieldSel, MemoStats, ObjId, RootTruncation, Trace, TraceCollector, TraceConfig,

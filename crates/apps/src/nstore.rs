@@ -417,3 +417,30 @@ mod tests {
         assert!(tracker.shadow_cells() > 0);
     }
 }
+
+#[cfg(test)]
+mod wal_tests {
+    use super::*;
+    use crate::tracker::DeepMcTracker;
+    use crate::workloads::{run_bench, WorkloadSpec};
+    use nvm_runtime::PoolConfig;
+
+    /// A WAL larger than the heap's largest size class (2 MiB) that really
+    /// fills past it. Were the ring clamped to a 2 MiB block, its appends
+    /// would run over the tuples allocated after it, under the WAL lock
+    /// while the tuples' owners write them under their key locks — a WAW
+    /// race the detector rightly reports.
+    #[test]
+    fn tracked_run_with_a_wal_past_two_mib_draws_no_report() {
+        let p = PmemPool::new(PoolConfig { size: 16 << 20, shards: 16, ..Default::default() });
+        let heap = PmemHeap::open(&p);
+        let db = NStore::new(&p, &heap, 16, 4 << 20);
+        let tracker = DeepMcTracker::new();
+        let updates =
+            WorkloadSpec { name: "update", read: 0, update: 100, insert: 0, rmw: 0, scan: 0 };
+        // 2 × 24,000 appends of 64 bytes: 3 MB of WAL, over 64 hot tuples.
+        run_bench(&db, updates, 2, 24_000, 64, &tracker, u64::MAX);
+        assert!(db.wal.lock().cursor > 2 << 20, "the WAL outgrew 2 MiB");
+        assert!(tracker.reports().is_empty(), "{:?}", tracker.reports().first());
+    }
+}

@@ -135,6 +135,9 @@ impl<'p> PmKv<'p> {
             None => {
                 let r = self.heap.alloc(RECORD_BYTES);
                 if r.is_null() {
+                    if tracker.enabled() {
+                        tracker.lock_release(strand, lock_id);
+                    }
                     return false;
                 }
                 shard.insert(key, r);
@@ -376,6 +379,25 @@ mod tests {
                 assert_eq!(kv.get(key, &NoopTracker, None), Some(key * 2));
             }
         }
+    }
+
+    #[test]
+    fn failed_set_releases_the_tracked_lock() {
+        // A pool with room for the heap header and nothing else.
+        let p = PmemPool::new(PoolConfig { size: 64, shards: 1, ..Default::default() });
+        let heap = PmemHeap::open(&p);
+        let kv = PmKv::new(&p, &heap, PersistStyle::Strict, 1);
+        let tracker = DeepMcTracker::new();
+        let s1 = tracker.region_begin();
+        let s2 = tracker.region_begin();
+        tracker.access(s1, 4096, 8, true);
+        assert!(!kv.set(1, 1, &tracker, s1), "pool exhausted");
+        // The failed set's release publishes s1's write to the key's lock,
+        // so a later holder of that lock is ordered after it.
+        tracker.lock_acquire(s2, kv.lock_id(1));
+        tracker.access(s2, 4096, 8, true);
+        tracker.lock_release(s2, kv.lock_id(1));
+        assert!(tracker.reports().is_empty(), "{:?}", tracker.reports());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! * `empty-durable-tx` — pminvaders commits a durable transaction on
 //!   frames that updated nothing (EmptyDurableTx).
 
-use nvm_runtime::{PmemHeap, PmemPool, PoolConfig, TxManager};
+use nvm_runtime::{PAddr, PmemHeap, PmemPool, PoolConfig, TxManager};
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
@@ -42,55 +42,68 @@ fn bench_pool() -> PmemPool {
     })
 }
 
-/// Time `iters` calls of `body`, best of three passes. A single pass is
-/// at the mercy of the scheduler — one preemption during the *fixed*
-/// side can make a real improvement measure negative. The minimum over
-/// three passes is the standard de-noising for throughput loops: noise
+/// Timed passes per side of a pair.
+const PASSES: usize = 7;
+
+/// Time `iters` calls of the buggy and the fixed body, best of
+/// [`PASSES`] passes each. A single pass is at the mercy of the scheduler
+/// — one preemption during the *fixed* side can make a real improvement
+/// measure negative. The passes alternate buggy, fixed, buggy, … so a
+/// slow or fast stretch of the host hits both sides alike, and each side
+/// keeps its minimum, the standard de-noising for throughput loops: noise
 /// only ever adds time, so the fastest pass is the closest to the true
 /// cost.
-fn time_loop(iters: u64, mut body: impl FnMut(u64)) -> Duration {
-    let mut best = Duration::MAX;
-    for _ in 0..3 {
+fn time_pair(
+    iters: u64,
+    mut buggy: impl FnMut(u64),
+    mut fixed: impl FnMut(u64),
+) -> (Duration, Duration) {
+    let pass = |body: &mut dyn FnMut(u64)| {
         let start = Instant::now();
         for i in 0..iters {
             body(i);
         }
-        best = best.min(start.elapsed());
+        start.elapsed()
+    };
+    let (mut best_buggy, mut best_fixed) = (Duration::MAX, Duration::MAX);
+    for _ in 0..PASSES {
+        best_buggy = best_buggy.min(pass(&mut buggy));
+        best_fixed = best_fixed.min(pass(&mut fixed));
     }
-    best
+    (best_buggy, best_fixed)
 }
 
 /// PMFS superblock recovery: the fix flushes only the modified field.
 pub fn superblock_writeback(iters: u64) -> FixResult {
-    let run = |whole_object: bool| -> Duration {
-        let pool = bench_pool();
-        let heap = PmemHeap::open(&pool);
-        let sb = heap.alloc(256); // 4 cache lines
-        time_loop(iters, |i| {
+    let (buggy_pool, fixed_pool) = (bench_pool(), bench_pool());
+    let setup = |pool| {
+        let sb = PmemHeap::open(pool).alloc(256); // 4 cache lines
+        move |i: u64, flushed: u64| {
             pool.write_u64(sb, i); // only the first field changes
-            if whole_object {
-                pool.flush(sb, 256); // BUG: write back all four lines
-            } else {
-                pool.flush(sb, 8);
-            }
+            pool.flush(sb, flushed);
             pool.fence();
-        })
+        }
     };
+    let (buggy_op, fixed_op) = (setup(&buggy_pool), setup(&fixed_pool));
+    let (buggy, fixed) = time_pair(
+        iters,
+        |i| buggy_op(i, 256), // BUG: write back all four lines
+        |i| fixed_op(i, 8),
+    );
     FixResult {
         name: "superblock-writeback (PMFS super.c)",
         bug_class: "Flush an unmodified object",
-        buggy: run(true),
-        fixed: run(false),
+        buggy,
+        fixed,
     }
 }
 
 /// xips/CHash double flush: the fix drops the second flush+fence.
 pub fn double_flush(iters: u64) -> FixResult {
-    let run = |double: bool| -> Duration {
-        let pool = bench_pool();
-        let heap = PmemHeap::open(&pool);
-        let buf = heap.alloc(64);
-        time_loop(iters, |i| {
+    let (buggy_pool, fixed_pool) = (bench_pool(), bench_pool());
+    let setup = |pool| {
+        let buf = PmemHeap::open(pool).alloc(64);
+        move |i: u64, double: bool| {
             pool.write_u64(buf, i);
             pool.flush(buf, 8);
             pool.fence();
@@ -98,13 +111,15 @@ pub fn double_flush(iters: u64) -> FixResult {
                 pool.flush(buf, 8); // BUG: buffer is already clean
                 pool.fence();
             }
-        })
+        }
     };
+    let (buggy_op, fixed_op) = (setup(&buggy_pool), setup(&fixed_pool));
+    let (buggy, fixed) = time_pair(iters, |i| buggy_op(i, true), |i| fixed_op(i, false));
     FixResult {
         name: "double-flush (PMFS xips.c / Mnemosyne CHash.c)",
         bug_class: "Multiple flushes to a persistent object",
-        buggy: run(true),
-        fixed: run(false),
+        buggy,
+        fixed,
     }
 }
 
@@ -113,35 +128,36 @@ pub fn double_flush(iters: u64) -> FixResult {
 /// exists in both variants.
 pub fn empty_durable_tx(iters: u64) -> FixResult {
     let frame_work = Duration::from_nanos(2_000);
-    let run = |always_tx: bool| -> Duration {
-        let pool = bench_pool();
-        let heap = PmemHeap::open(&pool);
+    let pools = [bench_pool(), bench_pool()];
+    let sides = pools.each_ref().map(|pool| {
+        let heap = PmemHeap::open(pool);
         let log = heap.alloc(1 << 16);
-        let obj = heap.alloc(64);
-        let txm = TxManager::new(&pool, log, 1 << 16);
-        time_loop(iters, |i| {
-            let t0 = Instant::now();
-            while t0.elapsed() < frame_work {
-                std::hint::spin_loop();
-            }
-            let updates = i % 8 == 0; // one frame in eight changes state
-            if updates {
-                txm.begin();
-                txm.add(obj, 8).expect("log fits");
-                pool.write_u64(obj, i);
-                txm.commit();
-            } else if always_tx {
-                // BUG: durable transaction with no persistent write.
-                txm.begin();
-                txm.commit();
-            }
-        })
+        (pool, TxManager::new(pool, log, 1 << 16), heap.alloc(64))
+    });
+    let frame = |(pool, txm, obj): &(&PmemPool, TxManager<'_>, PAddr), i: u64, always_tx: bool| {
+        let t0 = Instant::now();
+        while t0.elapsed() < frame_work {
+            std::hint::spin_loop();
+        }
+        let updates = i.is_multiple_of(8); // one frame in eight changes state
+        if updates {
+            txm.begin();
+            txm.add(*obj, 8).expect("log fits");
+            pool.write_u64(*obj, i);
+            txm.commit();
+        } else if always_tx {
+            // BUG: durable transaction with no persistent write.
+            txm.begin();
+            txm.commit();
+        }
     };
+    let (buggy, fixed) =
+        time_pair(iters, |i| frame(&sides[0], i, true), |i| frame(&sides[1], i, false));
     FixResult {
         name: "empty-durable-tx (PMDK pminvaders.c)",
         bug_class: "Durable transaction without persistent writes",
-        buggy: run(true),
-        fixed: run(false),
+        buggy,
+        fixed,
     }
 }
 

@@ -83,18 +83,14 @@ impl Hooks for DynamicChecker {
         if is_write {
             obs::counter("dynamic.writes", 1);
         }
-        let cells_before = if obs::active() { self.detector.shadow_cells() } else { 0 };
         // Timed like pmem.flush/pmem.fence so "dynamic.hb_edge" shows up
         // as a latency family in the v2 metrics snapshot (p50/p90/p99 of
         // the per-access shadow-memory check), not just a counter.
         let t0 = obs::active().then(std::time::Instant::now);
-        let fresh = self.detector.on_access(strand, addr, len, is_write);
+        let (fresh, new_cells) = self.detector.on_access_counted(strand, addr, len, is_write);
         if let Some(t0) = t0 {
             obs::latency("dynamic.hb_edge", t0.elapsed().as_micros() as u64);
-        }
-        if obs::active() {
-            let grown = self.detector.shadow_cells().saturating_sub(cells_before);
-            obs::counter("dynamic.shadow_cells_allocated", grown as u64);
+            obs::counter("dynamic.shadow_cells_allocated", new_cells as u64);
         }
         if fresh.is_empty() {
             return;

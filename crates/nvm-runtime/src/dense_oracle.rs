@@ -10,6 +10,11 @@
 //! * sparse hashes agree exactly when the dense images agree;
 //! * a pool reused through `load_image` and `reset` behaves like a freshly
 //!   booted one: same reads, media errors, non-durable lines and stats.
+//!
+//! And against a flat line-state model, with some shards never stored to
+//! and flushes straddling shard boundaries: shards that were never written
+//! read as zeros, crash images and their hashes hold exactly the model's
+//! bytes, and every fence drains every shard a flush queued lines in.
 
 use crate::pool::StatsSnapshot;
 use crate::{CrashImage, CrashPolicy, FaultConfig, PAddr, PmemPool, PoolConfig, CACHE_LINE};
@@ -172,8 +177,154 @@ fn line_reads(pool: &PmemPool) -> Vec<Result<Vec<u8>, crate::PmemError>> {
         .collect()
 }
 
+const SHARD: u64 = SIZE / SHARDS as u64;
+
+/// A range anywhere, or one straddling a shard boundary.
+fn range_strategy() -> impl Strategy<Value = (u64, u64)> {
+    prop_oneof![
+        (0..SIZE - 256, 1..=128u64),
+        (1..SHARDS as u64, 1..=128u64, 1..=256u64)
+            .prop_map(|(b, back, len)| (b * SHARD - back, len)),
+    ]
+}
+
+#[derive(Debug, Clone, Copy)]
+enum FlatOp {
+    Write { addr: u64, len: u64, fill: u8 },
+    Flush { addr: u64, len: u64 },
+    Fence,
+}
+
+fn flat_op_strategy() -> impl Strategy<Value = FlatOp> {
+    prop_oneof![
+        (range_strategy(), 1..=255u8).prop_map(|((addr, len), fill)| FlatOp::Write {
+            addr,
+            len,
+            fill
+        }),
+        range_strategy().prop_map(|(addr, len)| FlatOp::Flush { addr, len }),
+        Just(FlatOp::Fence),
+    ]
+}
+
+#[derive(Clone, Copy, PartialEq)]
+enum Flat {
+    Clean,
+    Dirty,
+    Pending,
+}
+
+/// Write/flush/fence over one flat image with one state per line: no
+/// shards, no flags, no lazily allocated images.
+struct FlatModel {
+    visible: Vec<u8>,
+    durable: Vec<u8>,
+    state: Vec<Flat>,
+}
+
+impl FlatModel {
+    fn new() -> FlatModel {
+        FlatModel {
+            visible: vec![0; SIZE as usize],
+            durable: vec![0; SIZE as usize],
+            state: vec![Flat::Clean; LINES as usize],
+        }
+    }
+
+    fn lines(addr: u64, len: u64) -> std::ops::RangeInclusive<usize> {
+        (addr / CACHE_LINE) as usize..=((addr + len - 1) / CACHE_LINE) as usize
+    }
+
+    fn apply(&mut self, op: FlatOp) {
+        match op {
+            FlatOp::Write { addr, len, fill } => {
+                self.visible[addr as usize..(addr + len) as usize].fill(fill);
+                for l in Self::lines(addr, len) {
+                    self.state[l] = Flat::Dirty;
+                }
+            }
+            FlatOp::Flush { addr, len } => {
+                for l in Self::lines(addr, len) {
+                    if self.state[l] == Flat::Dirty {
+                        self.state[l] = Flat::Pending;
+                    }
+                }
+            }
+            FlatOp::Fence => {
+                for l in 0..LINES as usize {
+                    if self.state[l] == Flat::Pending {
+                        let r = l * CACHE_LINE as usize..(l + 1) * CACHE_LINE as usize;
+                        self.durable[r.clone()].copy_from_slice(&self.visible[r]);
+                        self.state[l] = Flat::Clean;
+                    }
+                }
+            }
+        }
+    }
+
+    /// The crash image keeping the lines `keep` picks from `visible`.
+    fn image(&self, keep: impl Fn(Flat) -> bool) -> CrashImage {
+        let mut lines = Vec::new();
+        for l in 0..LINES as usize {
+            let src = if keep(self.state[l]) { &self.visible } else { &self.durable };
+            let bytes: [u8; CACHE_LINE as usize] =
+                src[l * CACHE_LINE as usize..][..CACHE_LINE as usize].try_into().unwrap();
+            if bytes != [0; CACHE_LINE as usize] {
+                lines.push((l as u64, bytes));
+            }
+        }
+        CrashImage::from_lines(SIZE, lines, Vec::new())
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Stores confined to the shards in `written`; flushes, fences and
+    /// reads anywhere, many of them across shard boundaries.
+    #[test]
+    fn sharded_pool_matches_the_flat_model(
+        ops in proptest::collection::vec(flat_op_strategy(), 0..64),
+        written in 0..(1u8 << SHARDS),
+    ) {
+        let in_written = |addr: u64, len: u64| {
+            (addr / SHARD..=(addr + len - 1) / SHARD).all(|s| written >> s & 1 == 1)
+        };
+        let pool = PmemPool::new(config());
+        let mut model = FlatModel::new();
+        for (i, &op) in ops.iter().enumerate() {
+            if let FlatOp::Write { addr, len, fill } = op {
+                if !in_written(addr, len) {
+                    continue;
+                }
+                pool.write(PAddr(addr), &vec![fill; len as usize]);
+            } else if let FlatOp::Flush { addr, len } = op {
+                pool.flush(PAddr(addr), len);
+            } else {
+                pool.fence();
+            }
+            model.apply(op);
+            let dirty = model.state.iter().filter(|&&s| s != Flat::Clean).count() as u64;
+            prop_assert_eq!(pool.non_durable_lines(), dirty, "step {}", i);
+            for (policy, keep) in [
+                (CrashPolicy::Pessimistic, (|_| false) as fn(Flat) -> bool),
+                (CrashPolicy::PendingOnly, |s| s == Flat::Pending),
+                (CrashPolicy::Optimistic, |s| s != Flat::Clean),
+            ] {
+                let img = policy.apply(&pool);
+                let want = model.image(keep);
+                prop_assert_eq!(img.content_hash(), want.content_hash(), "step {} {:?}", i, policy);
+                prop_assert_eq!(&img, &want);
+            }
+        }
+        // Pre-filled, so a read that skips unallocated shards shows.
+        let mut all = vec![0xA5; SIZE as usize];
+        pool.read(PAddr(0), &mut all);
+        prop_assert!(all == model.visible);
+        for s in (0..SHARDS as u64).filter(|s| written >> s & 1 == 0) {
+            prop_assert!(all[(s * SHARD) as usize..][..SHARD as usize].iter().all(|&b| b == 0));
+        }
+    }
 
     /// The sparse image equals the dense one, byte for byte and poison for
     /// poison, at every crash point and under every policy — so the

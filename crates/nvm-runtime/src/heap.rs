@@ -7,6 +7,10 @@
 //! Freed blocks are recycled through volatile free lists; blocks freed but
 //! not reallocated before a crash simply leak, which is the usual trade-off
 //! of log-free allocators and does not affect crash consistency.
+//!
+//! Requests above the largest size class (2 MiB) — log rings, mostly — get
+//! an exact, line-rounded bump allocation; they are never served from a
+//! free list, whose blocks may be smaller than the request.
 
 use crate::pool::{PAddr, PmemPool};
 use parking_lot::Mutex;
@@ -39,6 +43,20 @@ fn class_bytes(class: usize) -> u64 {
     ALIGN << class
 }
 
+/// The free list a `size`-byte block lives on, or `None` above the largest
+/// class.
+fn class_for(size: u64) -> Option<usize> {
+    Some(class_of(size)).filter(|&c| c < NUM_CLASSES)
+}
+
+/// Bytes of the block handed out for a `size`-byte request.
+fn block_bytes(size: u64) -> u64 {
+    match class_for(size) {
+        Some(class) => class_bytes(class),
+        None => size.div_ceil(ALIGN) * ALIGN,
+    }
+}
+
 impl<'p> PmemHeap<'p> {
     /// Open the heap: initialize a fresh pool, or attach to an existing
     /// formatted one (e.g. after [`crate::CrashImage::reboot`]).
@@ -63,13 +81,13 @@ impl<'p> PmemHeap<'p> {
     }
 
     /// Allocate `size` bytes of persistent memory (rounded up to the size
-    /// class). Returns `PAddr::NULL` when the pool is exhausted. Like PMDK
-    /// clearing bad blocks, permanently poisoned lines in the block are
-    /// rewritten as zero lines before it is handed out.
+    /// class, or to whole lines above the largest class). Returns
+    /// `PAddr::NULL` when the pool is exhausted. Like PMDK clearing bad
+    /// blocks, permanently poisoned lines in the block are rewritten as
+    /// zero lines before it is handed out.
     pub fn alloc(&self, size: u64) -> PAddr {
-        let class = class_of(size).min(NUM_CLASSES - 1);
-        let bytes = class_bytes(class);
-        let recycled = self.free_lists.lock()[class].pop();
+        let bytes = block_bytes(size);
+        let recycled = class_for(size).and_then(|class| self.free_lists.lock()[class].pop());
         let addr = match recycled {
             Some(addr) => addr,
             None => {
@@ -91,19 +109,21 @@ impl<'p> PmemHeap<'p> {
     pub fn alloc_zeroed(&self, size: u64) -> PAddr {
         let addr = self.alloc(size);
         if !addr.is_null() {
-            let bytes = class_bytes(class_of(size).min(NUM_CLASSES - 1));
+            let bytes = block_bytes(size);
             self.pool.write(addr, &vec![0u8; bytes as usize]);
             self.pool.persist(addr, bytes);
         }
         addr
     }
 
-    /// Return a block of `size` bytes to the heap.
+    /// Return a block of `size` bytes to the heap. A block above the
+    /// largest class is at least that class's size, so it goes on the
+    /// largest class's list.
     pub fn free(&self, addr: PAddr, size: u64) {
         if addr.is_null() {
             return;
         }
-        let class = class_of(size).min(NUM_CLASSES - 1);
+        let class = class_for(size).unwrap_or(NUM_CLASSES - 1);
         self.free_lists.lock()[class].push(addr);
     }
 
@@ -210,6 +230,26 @@ mod tests {
         assert_eq!(h.alloc(256), PAddr(next), "bump-allocated block");
         assert_eq!(p.try_read_u64(PAddr(next + 64)), Ok(0));
         assert_eq!(p.poisoned_line_count(), 1, "only the transient line is left");
+    }
+
+    #[test]
+    fn blocks_above_the_largest_class_are_exact_and_disjoint() {
+        let p = PmemPool::new(PoolConfig { size: 64 << 20, shards: 16, ..Default::default() });
+        let h = PmemHeap::open(&p);
+        let big = 32 << 20;
+        let ring = h.alloc(big);
+        let next = h.alloc(64);
+        assert!(next.0 >= ring.0 + big, "a 32 MiB block must not overlap the next allocation");
+        assert_eq!(h.used(), big + 64, "line-rounded bump, no class rounding");
+        // A freed 2 MiB block never serves the larger request.
+        let two = h.alloc(2 << 20);
+        h.free(two, 2 << 20);
+        let odd = h.alloc((2 << 20) + 1);
+        assert!(odd.0 >= two.0 + (2 << 20), "bumped past the recycled block");
+        assert_eq!(h.used(), big + 64 + (2 << 20) + (2 << 20) + 64);
+        // A freed oversize block may serve largest-class requests.
+        h.free(ring, big);
+        assert_eq!(h.alloc(2 << 20), ring);
     }
 
     #[test]

@@ -39,6 +39,8 @@ pub mod tx;
 
 #[cfg(test)]
 mod dense_oracle;
+#[cfg(test)]
+mod race_oracle;
 
 pub use clock::VectorClock;
 pub use crash::{CrashImage, CrashMatrix, CrashMatrixReport, CrashPolicy};

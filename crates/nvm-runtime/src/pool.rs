@@ -21,14 +21,19 @@
 //!
 //! The pool is sharded: each shard owns a contiguous range guarded by a
 //! `parking_lot` mutex, so concurrent clients (the Figure-12 workloads run
-//! multiple client threads) scale. A `fence` takes the shards in index
-//! order.
+//! multiple client threads) scale. A `fence` walks the shards in index
+//! order but locks only those whose "has pending lines" flag is set; each
+//! flag sits on its own cache line, so the clients' flushes and fences do
+//! not contend on it.
 //!
 //! Each shard also lists the lines that ever left `Untouched`. Crash
 //! images, [`PmemPool::reset`] and reboots ([`PmemPool::load_image`]) visit
 //! only those, so the crash path costs what the program touched rather
 //! than the pool size, and a [`PoolFreeList`] lets a sweep reuse pools
-//! instead of allocating and zeroing two per crash state.
+//! instead of allocating and zeroing two per crash state. A shard
+//! allocates its images and line states on its first store or image load;
+//! until then it reads as zeros, so building a pool costs O(shards), not
+//! O(size).
 //!
 //! An optional latency model charges a busy-wait per write-back and fence,
 //! so performance bugs (redundant flushes, §3.3: "an additional writeback
@@ -40,7 +45,7 @@ use deepmc_obs as obs;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::ops::Deref;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Cache-line size in bytes.
@@ -80,6 +85,8 @@ enum LineState {
 struct Shard {
     /// First byte offset covered by this shard.
     base: u64,
+    /// The shard's images and line states: empty until the first store or
+    /// image load, and an empty shard reads as zeros in both images.
     visible: Vec<u8>,
     durable: Vec<u8>,
     /// State per cache line of this shard.
@@ -93,6 +100,35 @@ struct Shard {
 }
 
 impl Shard {
+    fn new(base: u64) -> Shard {
+        Shard {
+            base,
+            visible: Vec::new(),
+            durable: Vec::new(),
+            lines: Vec::new(),
+            pending: Vec::new(),
+            touched: Vec::new(),
+        }
+    }
+
+    fn is_allocated(&self) -> bool {
+        !self.lines.is_empty()
+    }
+
+    /// Allocate the images and line states of a `bytes`-byte shard.
+    fn allocate(&mut self, bytes: u64) {
+        if !self.is_allocated() {
+            self.visible = vec![0; bytes as usize];
+            self.durable = vec![0; bytes as usize];
+            self.lines = vec![LineState::Untouched; (bytes / CACHE_LINE) as usize];
+        }
+    }
+
+    /// The state of local line `idx`.
+    fn line_state(&self, idx: usize) -> LineState {
+        self.lines.get(idx).copied().unwrap_or(LineState::Untouched)
+    }
+
     fn mark_dirty(&mut self, first_line: u64, last_line: u64) {
         let base_line = self.base / CACHE_LINE;
         for l in first_line..=last_line {
@@ -199,9 +235,19 @@ pub struct StatsSnapshot {
     pub cas_failures: u64,
 }
 
+/// A shard's "has pending lines" flag, alone on its cache line.
+#[repr(align(64))]
+#[derive(Default)]
+struct PendingFlag(AtomicBool);
+
 /// The simulated persistent memory pool.
 pub struct PmemPool {
     shards: Vec<Mutex<Shard>>,
+    /// Per shard: set under the shard lock when a flush queues a line,
+    /// cleared under it when a fence drains the shard. The flush's Release
+    /// store pairs with the fence's Acquire load, so a fence ordered after
+    /// a flush (same thread, or synchronized with it) sees the flag.
+    has_pending: Vec<PendingFlag>,
     shard_bytes: u64,
     size: u64,
     stats: PoolStats,
@@ -238,20 +284,9 @@ impl PmemPool {
         let raw = config.size.div_ceil(shards as u64);
         let shard_bytes = raw.div_ceil(CACHE_LINE) * CACHE_LINE;
         let size = shard_bytes * shards as u64;
-        let shard_vec = (0..shards)
-            .map(|i| {
-                Mutex::new(Shard {
-                    base: i as u64 * shard_bytes,
-                    visible: vec![0; shard_bytes as usize],
-                    durable: vec![0; shard_bytes as usize],
-                    lines: vec![LineState::Untouched; (shard_bytes / CACHE_LINE) as usize],
-                    pending: Vec::new(),
-                    touched: Vec::new(),
-                })
-            })
-            .collect();
         PmemPool {
-            shards: shard_vec,
+            shards: (0..shards).map(|i| Mutex::new(Shard::new(i as u64 * shard_bytes))).collect(),
+            has_pending: (0..shards).map(|_| PendingFlag::default()).collect(),
             shard_bytes,
             size,
             stats: PoolStats::default(),
@@ -268,8 +303,9 @@ impl PmemPool {
     /// counters zero, no poison — and attach a new fault plan seeded from
     /// `fault`. Costs O(lines touched since the last reset), not O(size).
     pub fn reset(&mut self, fault: Option<FaultConfig>) {
-        for shard in &mut self.shards {
+        for (shard, flag) in self.shards.iter_mut().zip(&mut self.has_pending) {
             shard.get_mut().clear();
+            *flag.0.get_mut() = false;
         }
         self.stats = PoolStats::default();
         self.fault = fault.map(FaultPlan::new);
@@ -290,6 +326,7 @@ impl PmemPool {
         let lines_per_shard = self.shard_bytes / CACHE_LINE;
         for (line, bytes) in image.lines() {
             let shard = self.shards[(line / lines_per_shard) as usize].get_mut();
+            shard.allocate(self.shard_bytes);
             shard.load_line((line % lines_per_shard) as usize, bytes);
         }
         self.poisoned.get_mut().extend(image.poisoned().iter().copied());
@@ -357,6 +394,7 @@ impl PmemPool {
         while !rest.is_empty() {
             let si = self.shard_of(off);
             let mut shard = self.shards[si].lock();
+            shard.allocate(self.shard_bytes);
             let local = (off - shard.base) as usize;
             let n = rest.len().min(self.shard_bytes as usize - local);
             if let Some(plan) = &self.fault {
@@ -432,7 +470,11 @@ impl PmemPool {
             let shard = self.shards[si].lock();
             let local = (off - shard.base) as usize;
             let n = rest.len().min(self.shard_bytes as usize - local);
-            rest[..n].copy_from_slice(&shard.visible[local..local + n]);
+            if shard.is_allocated() {
+                rest[..n].copy_from_slice(&shard.visible[local..local + n]);
+            } else {
+                rest[..n].fill(0);
+            }
             off += n as u64;
             rest = &mut rest[n..];
         }
@@ -530,9 +572,10 @@ impl PmemPool {
             let base_line = shard.base / CACHE_LINE;
             let shard_last = base_line + self.shard_bytes / CACHE_LINE - 1;
             let upto = last.min(shard_last);
+            let mut queued = false;
             for line in l..=upto {
                 let idx = (line - base_line) as usize;
-                match shard.lines[idx] {
+                match shard.line_state(idx) {
                     // clwb on a clean line is legal but pointless; it must
                     // not resurrect the line to pending.
                     LineState::Untouched | LineState::Clean => {
@@ -549,12 +592,20 @@ impl PmemPool {
                         }
                         shard.lines[idx] = LineState::FlushPending;
                         shard.pending.push(idx as u32);
+                        queued = true;
                     }
                     LineState::FlushPending => {
                         // Re-flushing a pending line: counted as wasted too.
                         self.stats.clean_flushes.fetch_add(1, Ordering::Relaxed);
                     }
                 }
+            }
+            // Only the shard lock's holder writes the flag, so a relaxed
+            // read suffices; skipping a redundant store keeps the flag's
+            // line from bouncing between clients.
+            let flag = &self.has_pending[si].0;
+            if queued && !flag.load(Ordering::Relaxed) {
+                flag.store(true, Ordering::Release);
             }
             l = upto + 1;
         }
@@ -570,11 +621,12 @@ impl PmemPool {
         let lat_start = obs::active().then(Instant::now);
         self.stats.fences.fetch_add(1, Ordering::Relaxed);
         let mut written_back = 0u64;
-        for shard in &self.shards {
-            let mut s = shard.lock();
-            if s.pending.is_empty() {
+        for (shard, flag) in self.shards.iter().zip(&self.has_pending) {
+            if !flag.0.load(Ordering::Acquire) {
                 continue;
             }
+            let mut s = shard.lock();
+            flag.0.store(false, Ordering::Release);
             let pending = std::mem::take(&mut s.pending);
             for &idx32 in &pending {
                 let idx = idx32 as usize;
@@ -732,6 +784,9 @@ impl PmemPool {
         let mut image = vec![0u8; self.size as usize];
         for shard in &self.shards {
             let s = shard.lock();
+            if !s.is_allocated() {
+                continue;
+            }
             let base = s.base as usize;
             image[base..base + s.durable.len()].copy_from_slice(&s.durable);
             for (idx, state) in s.lines.iter().enumerate() {

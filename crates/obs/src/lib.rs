@@ -40,6 +40,7 @@
 
 pub mod chrome;
 pub mod flame;
+pub mod fxhash;
 pub mod hist;
 pub mod ledger;
 pub mod metrics;
