@@ -34,44 +34,34 @@
 //! runs once per app as a dynamic cross-check; correct apps report no
 //! races.
 //!
-//! Crash steps are independent (each starts from a freshly reset pool),
-//! so the sweep fans them out over the shared work-stealing pool
-//! ([`deepmc_analysis::pool`]) and merges per-step results in step order
-//! — the outcome is identical for any [`SweepConfig::jobs`] value. The
-//! prefix and reboot pools come from a per-sweep [`PoolFreeList`] and are
-//! reset in place, at O(lines touched), instead of being allocated per
-//! crash state.
-//!
-//! With [`SweepConfig::prune`] set, the sweep runs as a pruned
-//! crash-state *exploration* ([`crate::explore`]): crash points whose
-//! post-crash pool image and oracle-relevant history coincide are
-//! collapsed into one equivalence class, and only one representative per
-//! class is recovered and validated; its verdict propagates to every
-//! member. Counter for counter and violation for violation, the pruned
-//! sweep reports exactly what the exhaustive one would.
+//! The sweep is the crate's one crash-exploration engine (`explore`)
+//! driven by one `AppTarget` per app: crash steps fan out over the shared
+//! work-stealing pool and merge in step order, so the outcome is
+//! identical for any [`SweepConfig::jobs`] value. With
+//! [`SweepConfig::prune`] set, only one representative per class of
+//! equivalent crash points (`AppTarget::class_context`) is recovered and
+//! validated; counter for counter and violation for violation, the
+//! pruned sweep reports exactly what the exhaustive one would.
 //!
 //! Sweeps are *resumable*: with a [`SweepJournal`] attached, every
-//! completed crash step is appended (one flushed line each) as it
-//! finishes, and a later run over the same config skips journaled steps
-//! and replays their recorded outcomes. Because each line is written and
-//! flushed atomically enough to survive a hard kill (a torn trailing
-//! line is simply re-executed), even a SIGKILLed sweep resumes from its
-//! last completed step. An *interior* corrupt line, by contrast, means
-//! the journal can no longer be trusted: it is quarantined and the open
-//! fails loudly rather than silently desynchronizing the replay.
-//! Cooperative interruption ([`SweepSession`]) stops scheduling new
-//! steps, drains in-flight workers, and leaves the journal flushed.
+//! completed crash step is appended as it finishes, and a later run over
+//! the same config replays journaled steps instead of re-executing them
+//! — even after a hard kill. Cooperative interruption ([`SweepSession`])
+//! stops scheduling new steps, drains in-flight workers, and leaves the
+//! journal flushed.
 
+use crate::explore::{explore, CrashTarget, PolicyVerdict, Replay, StepEntry};
 use crate::memcached::Memcached;
 use crate::nstore::NStore;
 use crate::recovery::checksum;
 use crate::redis::Redis;
 use crate::tracker::{DeepMcTracker, NoopTracker, Tracker};
 use crate::workloads::{sweep_script, ClientCtx, OpHistory, ScriptOp};
-use deepmc_analysis::pool::{resolve_jobs_request, run_indexed};
+use deepmc_analysis::pool::resolve_jobs_request;
 use deepmc_obs as obs;
+use nvm_runtime::hash::{self, fnv1a_words};
 use nvm_runtime::{
-    hash, CrashImage, CrashPolicy, FaultConfig, PmemHeap, PoolConfig, PoolFreeList, PooledPool,
+    CrashImage, CrashPolicy, FaultConfig, PmemHeap, PmemPool, PoolConfig, PoolFreeList, StrandId,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -120,7 +110,7 @@ pub struct SweepConfig {
     pub inject_bug: bool,
     /// Collapse crash points with identical persisted state + history
     /// into equivalence classes and validate one representative each
-    /// ([`crate::explore`]). The reported outcome is identical to the
+    /// (the `explore` engine). The reported outcome is identical to the
     /// exhaustive sweep's.
     pub prune: bool,
     /// Enable the stronger output-equivalence oracles (rollback-past-ack
@@ -170,7 +160,7 @@ impl fmt::Display for Violation {
 }
 
 /// Results of sweeping one application.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SweepOutcome {
     pub app: &'static str,
     /// Crash states checked (members of validated equivalence classes in
@@ -198,23 +188,6 @@ pub struct SweepOutcome {
     pub violations: Vec<Violation>,
 }
 
-impl SweepOutcome {
-    pub(crate) fn empty(app: SweepApp) -> SweepOutcome {
-        SweepOutcome {
-            app: app.name(),
-            images_checked: 0,
-            states_explored: 0,
-            states_pruned: 0,
-            records_dropped: 0,
-            flushes_dropped: 0,
-            fault_attributed: 0,
-            bug_attributed: 0,
-            dynamic_reports: 0,
-            violations: Vec::new(),
-        }
-    }
-}
-
 impl fmt::Display for SweepOutcome {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -240,21 +213,6 @@ impl fmt::Display for SweepOutcome {
     }
 }
 
-/// The deterministic sweep script for this config.
-pub(crate) fn script(cfg: &SweepConfig) -> Vec<ScriptOp> {
-    sweep_script(cfg.seed, cfg.steps)
-}
-
-/// The crash policies swept: the three deterministic ones plus
-/// `random_seeds` random evictions derived from the sweep seed.
-pub(crate) fn policies(cfg: &SweepConfig) -> Vec<CrashPolicy> {
-    let mut out = vec![CrashPolicy::Pessimistic, CrashPolicy::Optimistic, CrashPolicy::PendingOnly];
-    for i in 0..cfg.random_seeds {
-        out.push(CrashPolicy::Random(checksum(cfg.seed, &[0x5EED, i])));
-    }
-    out
-}
-
 pub(crate) fn policy_name(p: &CrashPolicy) -> String {
     match p {
         CrashPolicy::Pessimistic => "pessimistic".into(),
@@ -264,82 +222,107 @@ pub(crate) fn policy_name(p: &CrashPolicy) -> String {
     }
 }
 
-/// The free list one app sweep takes its prefix and reboot pools from.
-pub(crate) fn sweep_pools() -> PoolFreeList {
-    PoolFreeList::new(PoolConfig { size: 4 << 20, shards: 8, ..Default::default() })
-}
-
-pub(crate) struct AppRun<'a> {
-    pub(crate) pool: PooledPool<'a>,
-    pub(crate) history: OpHistory,
-}
-
-/// Run the script prefix `0..crash_step` against a freshly reset
-/// fault-injecting pool (the fault plan re-seeded per step). Returns the
-/// pool ready to crash plus the recorded operation history (writes, acks
-/// with positions, and buggy-path keys) the post-recovery oracles compare
-/// against.
-pub(crate) fn run_prefix<'a>(
-    cfg: &SweepConfig,
+/// One app's sweep as a [`CrashTarget`]: the config's script (built
+/// once), its policies, and a per-sweep free list whose prefix and reboot
+/// pools are reset in place, at O(lines touched), instead of being
+/// allocated per crash state.
+struct AppTarget {
+    cfg: SweepConfig,
     app: SweepApp,
-    crash_step: usize,
-    pools: &'a PoolFreeList,
-) -> AppRun<'a> {
-    let pool = pools.fresh(Some(FaultConfig { seed: cfg.seed ^ crash_step as u64, ..cfg.fault }));
-    let mut history = OpHistory::default();
-    let ops = script(cfg);
-    let noop = NoopTracker;
-    let ctx = ClientCtx { id: 0, tracker: &noop, strand: None };
-    {
-        let heap = PmemHeap::open(&pool);
-        // Pending acks for epoch style: promoted to acked at barriers.
-        let mut pending: HashMap<u64, u64> = HashMap::new();
-        match app {
+    script: Vec<ScriptOp>,
+    policies: Vec<CrashPolicy>,
+    pools: PoolFreeList,
+}
+
+/// The verdict on one recovered app crash state. The sweep relabels its
+/// violations with each class member's own step and policy.
+#[derive(Clone, Default, Serialize, Deserialize)]
+struct AppVerdict {
+    records_dropped: u64,
+    fault_attributed: u64,
+    bug_attributed: u64,
+    violations: Vec<Violation>,
+}
+
+impl AppTarget {
+    fn new(cfg: &SweepConfig, app: SweepApp) -> AppTarget {
+        AppTarget {
+            cfg: *cfg,
+            app,
+            script: sweep_script(cfg.seed, cfg.steps),
+            // The three deterministic policies plus `random_seeds` random
+            // evictions derived from the sweep seed.
+            policies: [CrashPolicy::Pessimistic, CrashPolicy::Optimistic, CrashPolicy::PendingOnly]
+                .into_iter()
+                .chain(
+                    (0..cfg.random_seeds)
+                        .map(|i| CrashPolicy::Random(checksum(cfg.seed, &[0x5EED, i]))),
+                )
+                .collect(),
+            pools: PoolFreeList::new(PoolConfig { size: 4 << 20, shards: 8, ..Default::default() }),
+        }
+    }
+
+    /// Run the first `steps` script ops on `pool`, reporting accesses to
+    /// `tracker` under `strand`; `bug` takes each app's seeded buggy path.
+    /// Returns the operation history (writes, acks with positions, and
+    /// buggy-path keys) the post-recovery oracles compare against.
+    fn run_ops(
+        &self,
+        pool: &PmemPool,
+        steps: usize,
+        tracker: &dyn Tracker,
+        strand: Option<StrandId>,
+        bug: bool,
+    ) -> OpHistory {
+        let mut history = OpHistory::default();
+        let heap = PmemHeap::open(pool);
+        let ctx = ClientCtx { id: 0, tracker, strand };
+        let ops = self.script[..steps].iter().enumerate();
+        match self.app {
             SweepApp::Memcached => {
-                let mc = Memcached::new(&pool, &heap, 8);
-                for (i, op) in ops.iter().take(crash_step).enumerate() {
-                    match *op {
-                        ScriptOp::Set { key, val } => {
-                            mc.set(key, val, &noop, &ctx);
-                            history.record_write(i as u64, key, val);
-                            pending.insert(key, val);
-                        }
+                let mc = Memcached::new(pool, &heap, 8);
+                // Pending acks: promoted to acked at the next barrier.
+                let mut pending: HashMap<u64, u64> = HashMap::new();
+                for (i, op) in ops {
+                    let (key, val) = match *op {
+                        ScriptOp::Set { key, val } => (key, val),
                         // The mini-Memcached has no delete command in its
                         // protocol surface; script deletes become sets.
-                        ScriptOp::Del { key } => {
-                            mc.set(key, 0xDEAD, &noop, &ctx);
-                            history.record_write(i as u64, key, 0xDEAD);
-                            pending.insert(key, 0xDEAD);
-                        }
+                        ScriptOp::Del { key } => (key, 0xDEAD),
                         ScriptOp::Barrier => {
-                            if cfg.inject_bug {
-                                mc.epoch_barrier_skip_fence(&noop);
+                            if bug {
+                                mc.epoch_barrier_skip_fence(tracker);
                             } else {
-                                mc.epoch_barrier(&noop);
+                                mc.epoch_barrier(tracker);
                             }
                             for (k, v) in pending.drain() {
-                                history.ack(k, i as u64, v, cfg.inject_bug);
+                                history.ack(k, i as u64, v, bug);
                             }
+                            continue;
                         }
-                    }
+                    };
+                    mc.set(key, val, tracker, &ctx);
+                    history.record_write(i as u64, key, val);
+                    pending.insert(key, val);
                 }
             }
             SweepApp::Redis => {
-                let r = Redis::new(&pool, &heap, 8, 1 << 16);
-                for (i, op) in ops.iter().take(crash_step).enumerate() {
+                let r = Redis::new(pool, &heap, 8, 1 << 16);
+                for (i, op) in ops {
                     match *op {
                         ScriptOp::Set { key, val } => {
                             history.record_write(i as u64, key, val);
-                            if cfg.inject_bug && i % 4 == 3 {
-                                r.set_skip_aof_persist(key, val, &noop, None);
-                                history.ack(key, i as u64, val, true);
+                            let buggy = bug && i % 4 == 3;
+                            if buggy {
+                                r.set_skip_aof_persist(key, val, tracker, strand);
                             } else {
-                                r.set(key, val, &noop, None);
-                                history.ack(key, i as u64, val, false);
+                                r.set(key, val, tracker, strand);
                             }
+                            history.ack(key, i as u64, val, buggy);
                         }
                         ScriptOp::Del { key } => {
-                            r.del(key, &noop, None);
+                            r.del(key, tracker, strand);
                             history.unack(key);
                         }
                         ScriptOp::Barrier => {}
@@ -347,71 +330,51 @@ pub(crate) fn run_prefix<'a>(
                 }
             }
             SweepApp::NStore => {
-                let db = NStore::new(&pool, &heap, 8, 1 << 16);
-                for (i, op) in ops.iter().take(crash_step).enumerate() {
-                    match *op {
-                        ScriptOp::Set { key, val } => {
-                            let cols = [val, val ^ 1, val ^ 2, val ^ 3];
-                            let buggy = cfg.inject_bug && i % 4 == 3;
-                            if buggy {
-                                db.put_skip_commit_persist(key, cols, &noop, None);
-                            } else {
-                                db.put(key, cols, &noop, None);
-                            }
-                            history.record_write(i as u64, key, val);
-                            history.ack(key, i as u64, val, buggy);
-                        }
-                        // NStore has no delete; treat as an overwrite.
-                        ScriptOp::Del { key } => {
-                            let buggy = cfg.inject_bug && i % 4 == 3;
-                            if buggy {
-                                db.put_skip_commit_persist(key, [7, 7, 7, 7], &noop, None);
-                            } else {
-                                db.put(key, [7, 7, 7, 7], &noop, None);
-                            }
-                            history.record_write(i as u64, key, 7);
-                            history.ack(key, i as u64, 7, buggy);
-                        }
-                        ScriptOp::Barrier => {}
+                let db = NStore::new(pool, &heap, 8, 1 << 16);
+                for (i, op) in ops {
+                    // NStore has no delete; treat it as an overwrite.
+                    let (key, val, cols) = match *op {
+                        ScriptOp::Set { key, val } => (key, val, [val, val ^ 1, val ^ 2, val ^ 3]),
+                        ScriptOp::Del { key } => (key, 7, [7; 4]),
+                        ScriptOp::Barrier => continue,
+                    };
+                    let buggy = bug && i % 4 == 3;
+                    if buggy {
+                        db.put_skip_commit_persist(key, cols, tracker, strand);
+                    } else {
+                        db.put(key, cols, tracker, strand);
                     }
+                    history.record_write(i as u64, key, val);
+                    history.ack(key, i as u64, val, buggy);
                 }
             }
         }
+        history
     }
-    AppRun { pool, history }
-}
 
-/// Per-crash-step partial results. Each crash step is self-contained —
-/// its own fault-injecting pool, script prefix, and crash images — so
-/// steps run independently on the worker pool and merge in step order.
-/// Serializable: a completed step's outcome is journaled verbatim and
-/// replayed on `--resume` instead of re-executing the step.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
-pub(crate) struct StepOutcome {
-    pub(crate) images_checked: u64,
-    pub(crate) records_dropped: u64,
-    pub(crate) flushes_dropped: u64,
-    pub(crate) fault_attributed: u64,
-    pub(crate) bug_attributed: u64,
-    pub(crate) violations: Vec<Violation>,
-}
+    /// One instrumented, crash-free run of the whole script: the dynamic
+    /// checker must stay quiet on the correct applications.
+    fn dynamic_cross_check(&self) -> usize {
+        let _s = obs::span_lazy("sweep.dynamic", || vec![("app", self.app.name().to_string())]);
+        let pool = self.pools.fresh(None);
+        let tracker = DeepMcTracker::new();
+        let strand = tracker.region_begin();
+        self.run_ops(&pool, self.script.len(), &tracker, strand, false);
+        let reports = tracker.reports().len();
+        obs::counter("sweep.dynamic_reports", reports as u64);
+        obs::counter("dynamic.shadow_cells", tracker.shadow_cells() as u64);
+        reports
+    }
 
-/// Does `recovered` equal the state after *some* prefix of the op
-/// history? Only meaningful for the strict apps (every op acks as it
-/// completes); Memcached's epoch batching makes any barrier-consistent
-/// mix legal, so it is excluded.
-fn matches_some_prefix(
-    cfg: &SweepConfig,
-    app: SweepApp,
-    crash_step: usize,
-    recovered: &HashMap<u64, u64>,
-) -> bool {
-    let ops = script(cfg);
-    // Most images sit exactly at the crash point; search backwards.
-    for t in (0..=crash_step).rev() {
+    /// Does `recovered` equal the state after *some* prefix of the first
+    /// `crash_step` ops? Only meaningful for the strict apps (every op
+    /// acks as it completes); Memcached's epoch batching makes any
+    /// barrier-consistent mix legal, so it is excluded.
+    fn matches_some_prefix(&self, crash_step: usize, recovered: &HashMap<u64, u64>) -> bool {
         let mut state: HashMap<u64, u64> = HashMap::new();
-        for op in ops.iter().take(t) {
-            match (app, *op) {
+        let mut matched = &state == recovered;
+        for op in &self.script[..crash_step] {
+            match (self.app, *op) {
                 (_, ScriptOp::Set { key, val }) => {
                     state.insert(key, val);
                 }
@@ -423,177 +386,153 @@ fn matches_some_prefix(
                 }
                 _ => {}
             }
+            matched |= &state == recovered;
         }
-        if &state == recovered {
-            return true;
-        }
+        matched
     }
-    false
 }
 
-/// Reboot one crash image, run recovery, and check every invariant (plus
-/// the [`SweepConfig::oracle`] oracles), accumulating into `outcome`.
-/// Shared by the exhaustive sweep and the pruned explorer — a pruned
-/// representative is validated by exactly this code.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn validate_image(
-    cfg: &SweepConfig,
-    app: SweepApp,
-    crash_step: usize,
-    policy: &CrashPolicy,
-    img: &CrashImage,
-    history: &OpHistory,
-    flush_faults: u64,
-    pools: &PoolFreeList,
-    outcome: &mut StepOutcome,
-) {
-    let pool2 = pools.boot(img);
-    let heap2 = PmemHeap::open(&pool2);
-    outcome.images_checked += 1;
-    let (recovered, report): (HashMap<u64, u64>, _) = match app {
-        SweepApp::Memcached => {
-            let (mc, rep) = Memcached::recover(&pool2, &heap2, 8);
-            let noop = NoopTracker;
-            let ctx = ClientCtx { id: 0, tracker: &noop, strand: None };
-            let m = history.keys().filter_map(|k| mc.get(k, &noop, &ctx).map(|v| (k, v))).collect();
-            (m, rep)
+impl CrashTarget for AppTarget {
+    type History = OpHistory;
+    type Verdict = AppVerdict;
+    const STEP_SPAN: &'static str = "sweep.step";
+
+    fn name(&self) -> &str {
+        self.app.name()
+    }
+
+    fn steps(&self) -> usize {
+        self.script.len()
+    }
+
+    fn policies(&self) -> &[CrashPolicy] {
+        &self.policies
+    }
+
+    /// The fault plan is re-seeded per step.
+    fn replay(&self, step: usize) -> Replay<'_, OpHistory> {
+        let fault = FaultConfig { seed: self.cfg.seed ^ step as u64, ..self.cfg.fault };
+        let pool = self.pools.fresh(Some(fault));
+        let history = self.run_ops(&pool, step, &NoopTracker, None, self.cfg.inject_bug);
+        Replay { pool, history }
+    }
+
+    /// The oracle-relevant history ([`OpHistory::digest`]), whether
+    /// faults dropped a `clwb`, and — for the strict apps, whose
+    /// prefix-cut oracle and corruption check consult the full per-step
+    /// write history — the crash step. Memcached alone may collapse
+    /// across steps: epoch batching skips the prefix oracle and its
+    /// per-key checks are monotone in the history.
+    fn class_context(&self, step: usize, run: &Replay<'_, OpHistory>) -> u64 {
+        let step_key = if self.app == SweepApp::Memcached { 0 } else { step as u64 };
+        let dropped = run.pool.stats().dropped_flushes > 0;
+        fnv1a_words(&[run.history.digest(), dropped as u64, step_key])
+    }
+
+    /// Reboot one crash image, run recovery, and check every invariant
+    /// (plus the [`SweepConfig::oracle`] oracles).
+    fn recover_validate(
+        &self,
+        run: &Replay<'_, OpHistory>,
+        crash_step: usize,
+        policy: usize,
+        img: &CrashImage,
+    ) -> AppVerdict {
+        let history = &run.history;
+        let pool2 = self.pools.boot(img);
+        let heap2 = PmemHeap::open(&pool2);
+        // Read every key the history wrote back from the recovered app.
+        let read_back = |get: &dyn Fn(u64) -> Option<u64>| -> HashMap<u64, u64> {
+            history.keys().filter_map(|k| get(k).map(|v| (k, v))).collect()
+        };
+        let noop = NoopTracker;
+        let (recovered, report) = match self.app {
+            SweepApp::Memcached => {
+                let (mc, rep) = Memcached::recover(&pool2, &heap2, 8);
+                let ctx = ClientCtx { id: 0, tracker: &noop, strand: None };
+                (read_back(&|k| mc.get(k, &noop, &ctx)), rep)
+            }
+            SweepApp::Redis => {
+                let (r, rep) = Redis::recover(&pool2, &heap2, 8, 1 << 16);
+                (read_back(&|k| r.get(k, &noop, None)), rep)
+            }
+            SweepApp::NStore => {
+                let (db, rep) = NStore::recover(&pool2, &heap2, 8, 1 << 16);
+                (read_back(&|k| db.read(k, 0, &noop, None)), rep)
+            }
+        };
+        let mut verdict = AppVerdict { records_dropped: report.dropped(), ..Default::default() };
+        // Faults injected into this run — recovery drops plus silently
+        // dropped clwbs (the pool's own counter records exactly the drops
+        // this run experienced) — license missing acked data.
+        let attributable = report.dropped() > 0 || run.pool.stats().dropped_flushes > 0;
+        let violation = |key: u64, detail: String| Violation {
+            app: self.app.name().to_string(),
+            crash_step: crash_step as u64,
+            policy: policy_name(&self.policies[policy]),
+            key,
+            detail,
+        };
+        // Keys are visited in sorted order so violation order is stable
+        // across worker counts *and* processes (HashMap order is neither).
+        let mut recovered_keys: Vec<u64> = recovered.keys().copied().collect();
+        recovered_keys.sort_unstable();
+        // Invariant 1: no corruption — recovered values were written.
+        for k in recovered_keys {
+            let v = recovered[&k];
+            if !history.was_written(k, v) {
+                verdict
+                    .violations
+                    .push(violation(k, format!("recovered value {v:#x} was never written")));
+            }
         }
-        SweepApp::Redis => {
-            let (r, rep) = Redis::recover(&pool2, &heap2, 8, 1 << 16);
-            let m = history
-                .keys()
-                .filter_map(|k| r.get(k, &NoopTracker, None).map(|v| (k, v)))
-                .collect();
-            (m, rep)
+        // Invariant 2: acked durability — and, under the oracle, no
+        // rollback past the last acknowledged update. A loss is the seeded
+        // bug's, else an injected fault's, else a violation.
+        let mut acked_keys: Vec<u64> = history.acked().keys().copied().collect();
+        acked_keys.sort_unstable();
+        for k in acked_keys {
+            let (pos, want) = history.acked()[&k];
+            let detail = match recovered.get(&k) {
+                None => "acked key missing after recovery with no fault to blame".to_string(),
+                Some(&got)
+                    if self.cfg.oracle
+                        && got != want
+                        && !history.written_at_or_after(k, pos, got) =>
+                {
+                    format!("acked value {want:#x} rolled back to stale {got:#x}")
+                }
+                Some(_) => continue,
+            };
+            if history.is_buggy(k) {
+                verdict.bug_attributed += 1;
+            } else if attributable {
+                verdict.fault_attributed += 1;
+            } else {
+                verdict.violations.push(violation(k, detail));
+            }
         }
-        SweepApp::NStore => {
-            let (db, rep) = NStore::recover(&pool2, &heap2, 8, 1 << 16);
-            let m = history
-                .keys()
-                .filter_map(|k| db.read(k, 0, &NoopTracker, None).map(|v| (k, v)))
-                .collect();
-            (m, rep)
-        }
-    };
-    outcome.records_dropped += report.dropped();
-    let attributable = report.dropped() > 0 || flush_faults > 0;
-    let violation = |key: u64, detail: String| Violation {
-        app: app.name().to_string(),
-        crash_step: crash_step as u64,
-        policy: policy_name(policy),
-        key,
-        detail,
-    };
-    // Keys are visited in sorted order so violation order is stable
-    // across worker counts *and* processes (HashMap order is neither).
-    let mut recovered_keys: Vec<u64> = recovered.keys().copied().collect();
-    recovered_keys.sort_unstable();
-    // Invariant 1: no corruption — recovered values were written.
-    for k in recovered_keys {
-        let v = recovered[&k];
-        if !history.was_written(k, v) {
-            outcome
+        // Oracle: the strict apps' recovered state must be a prefix cut of
+        // the op history. Skipped when a fault or the seeded bug already
+        // explains a divergence (the prefix property only holds fault-free).
+        if self.cfg.oracle
+            && self.app != SweepApp::Memcached
+            && !attributable
+            && !history.any_buggy()
+            && !self.matches_some_prefix(crash_step, &recovered)
+        {
+            verdict
                 .violations
-                .push(violation(k, format!("recovered value {v:#x} was never written")));
+                .push(violation(0, "recovered state matches no prefix of the op history".into()));
         }
+        verdict
     }
-    // Invariant 2: acked durability — and, under the oracle, no rollback
-    // past the last acknowledged update.
-    let mut acked_keys: Vec<u64> = history.acked().keys().copied().collect();
-    acked_keys.sort_unstable();
-    for k in acked_keys {
-        let (pos, want) = history.acked()[&k];
-        match recovered.get(&k) {
-            None => {
-                if history.is_buggy(k) {
-                    outcome.bug_attributed += 1;
-                } else if attributable {
-                    outcome.fault_attributed += 1;
-                } else {
-                    outcome.violations.push(violation(
-                        k,
-                        "acked key missing after recovery with no fault to blame".into(),
-                    ));
-                }
-            }
-            Some(&got) => {
-                if cfg.oracle && got != want && !history.written_at_or_after(k, pos, got) {
-                    if history.is_buggy(k) {
-                        outcome.bug_attributed += 1;
-                    } else if attributable {
-                        outcome.fault_attributed += 1;
-                    } else {
-                        outcome.violations.push(violation(
-                            k,
-                            format!("acked value {want:#x} rolled back to stale {got:#x}"),
-                        ));
-                    }
-                }
-            }
-        }
-    }
-    // Oracle: the strict apps' recovered state must be a prefix cut of
-    // the op history. Skipped when a fault or the seeded bug already
-    // explains a divergence (the prefix property only holds fault-free).
-    if cfg.oracle
-        && app != SweepApp::Memcached
-        && !attributable
-        && !history.any_buggy()
-        && !matches_some_prefix(cfg, app, crash_step, &recovered)
-    {
-        outcome
-            .violations
-            .push(violation(0, "recovered state matches no prefix of the op history".into()));
-    }
-}
-
-/// Crash after op `crash_step` under every policy and check invariants.
-fn sweep_step(
-    cfg: &SweepConfig,
-    app: SweepApp,
-    crash_step: usize,
-    pools: &PoolFreeList,
-) -> StepOutcome {
-    let _s = obs::span_lazy("sweep.step", || {
-        vec![("app", app.name().to_string()), ("step", crash_step.to_string())]
-    });
-    let mut outcome = StepOutcome::default();
-    {
-        let run = run_prefix(cfg, app, crash_step, pools);
-        // Faults already injected into this run: recovery drops plus
-        // silently dropped clwbs both license missing acked data. The
-        // pool's own counter (not the fault plan's) is authoritative:
-        // it records exactly the drops this run experienced.
-        let flush_faults = run.pool.stats().dropped_flushes;
-        outcome.flushes_dropped += flush_faults;
-        for policy in policies(cfg) {
-            let img = policy.apply(&run.pool);
-            validate_image(
-                cfg,
-                app,
-                crash_step,
-                &policy,
-                &img,
-                &run.history,
-                flush_faults,
-                pools,
-                &mut outcome,
-            );
-        }
-    }
-    obs::counter("sweep.images_checked", outcome.images_checked);
-    obs::counter("sweep.records_dropped", outcome.records_dropped);
-    obs::counter("sweep.flushes_dropped", outcome.flushes_dropped);
-    obs::counter("sweep.fault_attributed", outcome.fault_attributed);
-    obs::counter("sweep.bug_attributed", outcome.bug_attributed);
-    obs::counter("sweep.violations", outcome.violations.len() as u64);
-    outcome
 }
 
 /// Magic first line of a sweep journal; ties the journal to one config.
-/// v2 added the exploration entry kind and the prune/oracle flags in the
-/// fingerprint — v1 journals fail the header check and start fresh.
-const JOURNAL_MAGIC: &str = "deepmc-sweep-journal-v2";
+/// v3 journals one [`StepEntry`] per step in both modes; older journals
+/// fail the header check and start fresh.
+const JOURNAL_MAGIC: &str = "deepmc-sweep-journal-v3";
 
 /// Digest of everything that determines a step's outcome: seed, script
 /// shape, fault plan, bug injection, prune/oracle modes, and the app set.
@@ -611,30 +550,13 @@ fn config_fingerprint(cfg: &SweepConfig, apps: &[SweepApp]) -> u64 {
     hash::fnv1a(text.as_bytes())
 }
 
-/// One validated class representative within a pruned crash step: the
-/// policy index it was crashed under plus its verdict fragment.
-#[derive(Clone, Serialize, Deserialize)]
-pub(crate) struct ExploreFrag {
-    pub(crate) policy: usize,
-    pub(crate) outcome: StepOutcome,
-}
-
-/// One journaled unit of completed work.
-#[derive(Clone, Serialize, Deserialize)]
-pub(crate) enum JournalEntry {
-    /// Exhaustive mode: one whole crash step.
-    Step(StepOutcome),
-    /// Pruned mode: the validated representative fragments of one crash
-    /// step.
-    Explore(Vec<ExploreFrag>),
-}
-
-/// One journaled line.
+/// One journaled line: a step's [`StepEntry`], kept as parsed JSON until
+/// the sweep that owns it asks for it.
 #[derive(Serialize, Deserialize)]
-struct JournalLine {
+struct JournalLine<E> {
     app: String,
     step: u64,
-    entry: JournalEntry,
+    entry: E,
 }
 
 /// Append-only on-disk record of completed crash steps.
@@ -651,7 +573,7 @@ struct JournalLine {
 /// or with a header that doesn't match the current config, truncates and
 /// starts fresh.
 pub struct SweepJournal {
-    done: HashMap<(String, u64), JournalEntry>,
+    done: HashMap<(String, u64), serde::Value>,
     file: Mutex<fs::File>,
     appended: AtomicU64,
 }
@@ -677,7 +599,7 @@ impl SweepJournal {
                     reusable = true;
                     let body: Vec<&str> = lines.collect();
                     for (i, line) in body.iter().enumerate() {
-                        match serde_json::from_str::<JournalLine>(line) {
+                        match serde_json::from_str::<JournalLine<serde::Value>>(line) {
                             Ok(jl) => {
                                 done.insert((jl.app, jl.step), jl.entry);
                             }
@@ -752,24 +674,10 @@ impl SweepJournal {
         self.done.len() as u64
     }
 
-    fn lookup_step(&self, app: &str, step: u64) -> Option<&StepOutcome> {
-        match self.done.get(&(app.to_string(), step)) {
-            Some(JournalEntry::Step(outcome)) => Some(outcome),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn lookup_explore(&self, app: &str, step: u64) -> Option<&Vec<ExploreFrag>> {
-        match self.done.get(&(app.to_string(), step)) {
-            Some(JournalEntry::Explore(frags)) => Some(frags),
-            _ => None,
-        }
-    }
-
     /// Append one completed step (single flushed write); returns how many
     /// steps this run has journaled so far.
-    pub(crate) fn append(&self, app: &str, step: u64, entry: &JournalEntry) -> u64 {
-        let line = JournalLine { app: app.to_string(), step, entry: entry.clone() };
+    fn append<V: Serialize>(&self, app: &str, step: u64, entry: &StepEntry<V>) -> u64 {
+        let line = JournalLine { app: app.to_string(), step, entry };
         if let Ok(json) = serde_json::to_string(&line) {
             let mut buf = json.into_bytes();
             buf.push(b'\n');
@@ -809,6 +717,27 @@ impl<'a> SweepSession<'a> {
     pub fn is_cancelled(&self) -> bool {
         self.cancelled.load(Ordering::Acquire)
     }
+
+    /// The journaled entry of `app`'s crash `step`, if a previous run
+    /// completed it.
+    pub(crate) fn lookup<V>(&self, app: &str, step: usize) -> Option<StepEntry<V>>
+    where
+        V: for<'de> Deserialize<'de>,
+    {
+        let entry = self.journal?.done.get(&(app.to_string(), step as u64))?;
+        serde::from_value(entry.clone()).ok()
+    }
+
+    /// Journal a freshly completed step, cancelling the session once
+    /// [`SweepSession::trip_after`] steps have been journaled.
+    pub(crate) fn record<V: Serialize>(&self, app: &str, step: usize, entry: &StepEntry<V>) {
+        if let Some(journal) = self.journal {
+            let journaled = journal.append(app, step as u64, entry);
+            if self.trip_after.is_some_and(|t| journaled >= t) {
+                self.cancel();
+            }
+        }
+    }
 }
 
 /// Result of a [`sweep_session`] run.
@@ -828,16 +757,6 @@ impl SweepRun {
     }
 }
 
-/// What one pool job produced for a crash step.
-enum StepResult {
-    /// Session cancelled before the step started.
-    Skipped,
-    /// Replayed from the journal.
-    Resumed(StepOutcome),
-    /// Freshly executed.
-    Computed(StepOutcome),
-}
-
 /// Sweep one application: crash after every op under every policy.
 ///
 /// Crash steps fan out over a work-stealing pool sized by
@@ -854,122 +773,48 @@ fn sweep_app_session(
     app: SweepApp,
     session: &SweepSession<'_>,
 ) -> (SweepOutcome, u64, u64) {
-    if cfg.prune {
-        return crate::explore::explore_app_session(cfg, app, session);
-    }
-    let _s = obs::span_lazy("sweep.app", || vec![("app", app.name().to_string())]);
-    let total_steps = script(cfg).len();
-    let mut outcome = SweepOutcome::empty(app);
+    // Two span names for the one engine: the benchmark reads both.
+    let span = if cfg.prune { "sweep.explore" } else { "sweep.app" };
+    let _s = obs::span_lazy(span, || vec![("app", app.name().to_string())]);
+    let target = AppTarget::new(cfg, app);
+    let mut outcome = SweepOutcome { app: app.name(), ..Default::default() };
     if session.is_cancelled() {
-        return (outcome, 0, total_steps as u64);
+        return (outcome, 0, target.steps() as u64);
     }
-    let jobs = resolve_jobs_request(cfg.jobs);
-    let pools = sweep_pools();
-    outcome.dynamic_reports = dynamic_cross_check(cfg, app, &pools);
-    let steps: Vec<usize> = (1..=total_steps).collect();
-    let results = run_indexed(jobs, steps, |_, crash_step| {
-        if session.is_cancelled() {
-            return StepResult::Skipped;
-        }
-        if let Some(journal) = session.journal {
-            if let Some(done) = journal.lookup_step(app.name(), crash_step as u64) {
-                obs::counter("sweep.resumed_steps", 1);
-                return StepResult::Resumed(done.clone());
-            }
-        }
-        let out = sweep_step(cfg, app, crash_step, &pools);
-        if let Some(journal) = session.journal {
-            let journaled =
-                journal.append(app.name(), crash_step as u64, &JournalEntry::Step(out.clone()));
-            if session.trip_after.is_some_and(|t| journaled >= t) {
-                session.cancel();
-            }
-        }
-        StepResult::Computed(out)
-    });
-    let mut resumed = 0u64;
+    outcome.dynamic_reports = target.dynamic_cross_check();
+    let run = explore(&target, cfg.prune, resolve_jobs_request(cfg.jobs), session);
     let mut skipped = 0u64;
-    for result in results {
-        let step = match result {
-            StepResult::Skipped => {
-                skipped += 1;
-                continue;
-            }
-            StepResult::Resumed(s) => {
-                resumed += 1;
-                s
-            }
-            StepResult::Computed(s) => s,
+    for (idx, step) in run.steps.into_iter().enumerate() {
+        let Some(step) = step else {
+            skipped += 1;
+            continue;
         };
-        outcome.images_checked += step.images_checked;
-        outcome.records_dropped += step.records_dropped;
         outcome.flushes_dropped += step.flushes_dropped;
-        outcome.fault_attributed += step.fault_attributed;
-        outcome.bug_attributed += step.bug_attributed;
-        outcome.violations.extend(step.violations);
+        for PolicyVerdict { policy, verdict } in step.verdicts {
+            outcome.images_checked += 1;
+            outcome.records_dropped += verdict.records_dropped;
+            outcome.fault_attributed += verdict.fault_attributed;
+            outcome.bug_attributed += verdict.bug_attributed;
+            outcome.violations.extend(verdict.violations.into_iter().map(|v| Violation {
+                crash_step: idx as u64 + 1,
+                policy: policy_name(&target.policies[policy]),
+                ..v
+            }));
+        }
     }
-    // Exhaustively, every image checked was explored; nothing pruned.
-    outcome.states_explored = outcome.images_checked;
-    outcome.states_pruned = 0;
+    outcome.states_explored = run.explored;
+    outcome.states_pruned = outcome.images_checked - outcome.states_explored;
+    // Emitted once, from the merged outcome, so exhaustive, pruned and
+    // resumed runs report the same totals.
+    obs::counter("sweep.images_checked", outcome.images_checked);
+    obs::counter("sweep.records_dropped", outcome.records_dropped);
+    obs::counter("sweep.flushes_dropped", outcome.flushes_dropped);
+    obs::counter("sweep.fault_attributed", outcome.fault_attributed);
+    obs::counter("sweep.bug_attributed", outcome.bug_attributed);
+    obs::counter("sweep.violations", outcome.violations.len() as u64);
     obs::counter("sweep.explored", outcome.states_explored);
     obs::counter("sweep.pruned", outcome.states_pruned);
-    (outcome, resumed, skipped)
-}
-
-/// One instrumented, crash-free run of the same script: the dynamic
-/// checker must stay quiet on the correct applications.
-pub(crate) fn dynamic_cross_check(cfg: &SweepConfig, app: SweepApp, pools: &PoolFreeList) -> usize {
-    let _s = obs::span_lazy("sweep.dynamic", || vec![("app", app.name().to_string())]);
-    let pool = pools.fresh(None);
-    let heap = PmemHeap::open(&pool);
-    let tracker = DeepMcTracker::new();
-    let strand = tracker.region_begin();
-    let ctx = ClientCtx { id: 0, tracker: &tracker, strand };
-    let ops = script(cfg);
-    match app {
-        SweepApp::Memcached => {
-            let mc = Memcached::new(&pool, &heap, 8);
-            for op in &ops {
-                match *op {
-                    ScriptOp::Set { key, val } => {
-                        mc.set(key, val, &tracker, &ctx);
-                    }
-                    ScriptOp::Del { key } => {
-                        mc.set(key, 0xDEAD, &tracker, &ctx);
-                    }
-                    ScriptOp::Barrier => mc.epoch_barrier(&tracker),
-                }
-            }
-        }
-        SweepApp::Redis => {
-            let r = Redis::new(&pool, &heap, 8, 1 << 16);
-            for op in &ops {
-                match *op {
-                    ScriptOp::Set { key, val } => r.set(key, val, &tracker, strand),
-                    ScriptOp::Del { key } => {
-                        r.del(key, &tracker, strand);
-                    }
-                    ScriptOp::Barrier => {}
-                }
-            }
-        }
-        SweepApp::NStore => {
-            let db = NStore::new(&pool, &heap, 8, 1 << 16);
-            for op in &ops {
-                match *op {
-                    ScriptOp::Set { key, val } => {
-                        db.put(key, [val, val ^ 1, val ^ 2, val ^ 3], &tracker, strand)
-                    }
-                    ScriptOp::Del { key } => db.put(key, [7, 7, 7, 7], &tracker, strand),
-                    ScriptOp::Barrier => {}
-                }
-            }
-        }
-    }
-    let reports = tracker.reports().len();
-    obs::counter("sweep.dynamic_reports", reports as u64);
-    obs::counter("dynamic.shadow_cells", tracker.shadow_cells() as u64);
-    reports
+    (outcome, run.resumed, skipped)
 }
 
 /// Sweep a set of applications.
@@ -1283,6 +1128,62 @@ mod tests {
             outcomes_text(&straight),
             "resumed pruned sweep must match the uninterrupted one byte for byte"
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The `sweep.*` counters one session emits, minus the split that
+    /// pruning and resuming are allowed to change.
+    fn sweep_counters(
+        cfg: &SweepConfig,
+        apps: &[SweepApp],
+        session: &SweepSession<'_>,
+    ) -> Vec<(&'static str, u64)> {
+        let rec = obs::Recorder::new();
+        {
+            let _attach = rec.attach(0);
+            sweep_session(cfg, apps, session);
+        }
+        let split = ["sweep.explored", "sweep.pruned", "sweep.resumed_steps"];
+        rec.finish()
+            .counters
+            .into_iter()
+            .filter(|(name, _)| name.starts_with("sweep.") && !split.contains(name))
+            .collect()
+    }
+
+    #[test]
+    fn exhaustive_pruned_and_resumed_runs_emit_the_same_counters() {
+        let dir = std::env::temp_dir().join(format!("deepmc-sweep-j7-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let journal_path = dir.join("sweep.journal");
+        let cfg = SweepConfig {
+            fault: FaultConfig {
+                torn_store_rate: 0.25,
+                dropped_flush_rate: 0.1,
+                ..Default::default()
+            },
+            inject_bug: true,
+            oracle: true,
+            jobs: 2,
+            ..small(13)
+        };
+        let apps = SweepApp::ALL;
+        let straight = sweep_counters(&cfg, &apps, &SweepSession::default());
+        for name in ["sweep.images_checked", "sweep.flushes_dropped", "sweep.bug_attributed"] {
+            assert!(straight.iter().any(|&(n, v)| n == name && v > 0), "{name}: {straight:?}");
+        }
+        for prune in [false, true] {
+            let cfg = SweepConfig { prune, ..cfg };
+            assert_eq!(sweep_counters(&cfg, &apps, &SweepSession::default()), straight);
+            let journal = SweepJournal::open(&journal_path, &cfg, &apps, false).unwrap();
+            let session = SweepSession::new(Some(&journal), Some(5));
+            assert!(sweep_session(&cfg, &apps, &session).interrupted());
+            drop(journal);
+            let journal = SweepJournal::open(&journal_path, &cfg, &apps, true).unwrap();
+            let resumed = sweep_counters(&cfg, &apps, &SweepSession::new(Some(&journal), None));
+            assert_eq!(resumed, straight, "prune={prune}: resumed run");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

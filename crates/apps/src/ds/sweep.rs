@@ -12,22 +12,22 @@
 //! * without — a membership-only check: every recovered element must have
 //!   been added by the executed prefix.
 //!
-//! With `prune`, validation runs WITCHER-style in the same two-phase
-//! shape as [`crate::explore`]: probe every `(step, policy)` crash point,
-//! bucket by `(image content hash, oracle-window digest)`, validate one
-//! representative per class in canonical order via the shared analysis
-//! pool, and propagate verdicts. The pruned outcome is
+//! The sweep is the crate's crash-exploration engine (`explore`) driven
+//! by a `DsTarget`. With `prune`, crash points with the same `(image
+//! content hash, oracle-window digest)` are one class and only one
+//! representative per class is validated. The pruned outcome is
 //! violation-for-violation identical to the exhaustive one at every
 //! worker count; only the explored/pruned split differs.
 
 use super::{model_states, DsBug, DsInstance, DsKind, DsOp};
-use crate::crashsweep::policy_name;
+use crate::crashsweep::{policy_name, SweepSession};
+use crate::explore::{explore, CrashTarget, PolicyVerdict, Replay};
 use crate::tracker::NoopTracker;
-use deepmc_analysis::pool::{resolve_jobs_request, run_indexed};
+use deepmc_analysis::pool::resolve_jobs_request;
 use deepmc_obs as obs;
 use nvm_runtime::hash::fnv1a_words;
-use nvm_runtime::{CrashImage, CrashPolicy, PmemHeap, PoolConfig, PoolFreeList, PooledPool};
-use std::collections::{BTreeSet, HashMap};
+use nvm_runtime::{CrashImage, CrashPolicy, PmemHeap, PoolConfig, PoolFreeList};
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 /// Configuration for one structure × variant sweep.
@@ -96,80 +96,108 @@ impl DsSweepOutcome {
     }
 }
 
-/// The crash policies every step is subjected to, in canonical order.
-fn policies(cfg: &DsSweepConfig) -> Vec<CrashPolicy> {
-    vec![
-        CrashPolicy::Pessimistic,
-        CrashPolicy::PendingOnly,
-        CrashPolicy::Optimistic,
-        CrashPolicy::Random(cfg.seed ^ 0xD5_CA5),
-    ]
+/// One structure × variant sweep as a [`CrashTarget`].
+struct DsTarget<'s> {
+    cfg: &'s DsSweepConfig,
+    script: &'s [DsOp],
+    /// The canonical model state after each prefix `0..=steps`.
+    models: Vec<Vec<u64>>,
+    /// Every element the script adds.
+    added: BTreeSet<u64>,
+    /// Every step is crashed under these, in canonical order.
+    policies: Vec<CrashPolicy>,
+    /// Prefix and reboot pools, reset in place.
+    pools: PoolFreeList,
 }
 
-fn digest_state(h: &mut Vec<u64>, state: &[u64]) {
-    h.push(state.len() as u64);
-    h.extend_from_slice(state);
+impl DsTarget<'_> {
+    /// The durability window for a crash at step `s`: operations up to
+    /// the last acknowledged batch are guaranteed; in-flight ones may or
+    /// may not have landed.
+    fn window(&self, s: u64) -> (u64, u64) {
+        (s - s % self.cfg.kind.batch(), s)
+    }
 }
 
-/// Run the first `s` script operations against a fresh structure on a
-/// reset pool and return the pool ready to crash.
-fn run_prefix<'a>(
-    cfg: &DsSweepConfig,
-    script: &[DsOp],
-    s: usize,
-    pools: &'a PoolFreeList,
-) -> PooledPool<'a> {
-    let pool = pools.fresh(None);
-    {
-        let heap = PmemHeap::open(&pool);
-        let inst = DsInstance::create(cfg.kind, cfg.bug, &heap);
-        let t = NoopTracker;
-        let batch = cfg.kind.batch();
-        for (i, &op) in script[..s].iter().enumerate() {
-            let seq = i as u64 + 1;
-            inst.apply(op, &t, None, 0, seq);
-            if seq.is_multiple_of(batch) {
-                inst.batch_end(&t, None, 0, seq);
+impl CrashTarget for DsTarget<'_> {
+    type History = ();
+    /// `None` means the image passed.
+    type Verdict = Option<String>;
+    const STEP_SPAN: &'static str = "ds.step";
+
+    fn name(&self) -> &str {
+        self.cfg.kind.name()
+    }
+
+    fn steps(&self) -> usize {
+        self.script.len()
+    }
+
+    fn policies(&self) -> &[CrashPolicy] {
+        &self.policies
+    }
+
+    fn replay(&self, s: usize) -> Replay<'_, ()> {
+        let pool = self.pools.fresh(None);
+        {
+            let heap = PmemHeap::open(&pool);
+            let inst = DsInstance::create(self.cfg.kind, self.cfg.bug, &heap);
+            let t = NoopTracker;
+            let batch = self.cfg.kind.batch();
+            for (i, &op) in self.script[..s].iter().enumerate() {
+                let seq = i as u64 + 1;
+                inst.apply(op, &t, None, 0, seq);
+                if seq.is_multiple_of(batch) {
+                    inst.batch_end(&t, None, 0, seq);
+                }
             }
         }
+        Replay { pool, history: () }
     }
-    pool
-}
 
-/// The durability window for a crash at step `s`: operations up to the
-/// last acknowledged batch are guaranteed; in-flight ones may or may not
-/// have landed.
-fn window(cfg: &DsSweepConfig, s: u64) -> (u64, u64) {
-    let floor = s - s % cfg.kind.batch();
-    (floor, s)
-}
-
-/// Reboot one crash image, recover, and validate. `None` means the image
-/// passed.
-fn validate(
-    cfg: &DsSweepConfig,
-    models: &[Vec<u64>],
-    added: &BTreeSet<u64>,
-    s: u64,
-    img: &CrashImage,
-    pools: &PoolFreeList,
-) -> Option<String> {
-    let pool = pools.boot(img);
-    let heap = PmemHeap::open(&pool);
-    let inst = DsInstance::recover(cfg.kind, cfg.bug, &heap);
-    let got = inst.contents();
-    if cfg.oracle {
-        let (floor, hi) = window(cfg, s);
-        if !(floor..=hi).any(|t| models[t as usize] == got) {
-            return Some(format!(
-                "recovered {:?} is no linearization prefix in [{floor}, {hi}] (expected around {:?})",
-                got, models[hi as usize]
-            ));
+    /// The oracle's durability window and the model states inside it (or,
+    /// membership-only, the added set).
+    fn class_context(&self, s: usize, _run: &Replay<'_, ()>) -> u64 {
+        let (floor, hi) = self.window(s as u64);
+        let mut ctx: Vec<u64> = vec![self.cfg.oracle as u64, floor, hi];
+        let mut digest_state = |state: &[u64]| {
+            ctx.push(state.len() as u64);
+            ctx.extend_from_slice(state);
+        };
+        if self.cfg.oracle {
+            for t in floor..=hi {
+                digest_state(&self.models[t as usize]);
+            }
+        } else {
+            digest_state(&self.added.iter().copied().collect::<Vec<u64>>());
         }
-    } else if let Some(orphan) = got.iter().find(|v| !added.contains(v)) {
-        return Some(format!("recovered element {orphan} was never added"));
+        fnv1a_words(&ctx)
     }
-    None
+
+    fn recover_validate(
+        &self,
+        _run: &Replay<'_, ()>,
+        s: usize,
+        _policy: usize,
+        img: &CrashImage,
+    ) -> Option<String> {
+        let pool = self.pools.boot(img);
+        let heap = PmemHeap::open(&pool);
+        let inst = DsInstance::recover(self.cfg.kind, self.cfg.bug, &heap);
+        let got = inst.contents();
+        if self.cfg.oracle {
+            let (floor, hi) = self.window(s as u64);
+            if !(floor..=hi).any(|t| self.models[t as usize] == got) {
+                return Some(format!(
+                    "recovered {:?} is no linearization prefix in [{floor}, {hi}] (expected around {:?})",
+                    got, self.models[hi as usize]
+                ));
+            }
+        } else if let Some(orphan) = got.iter().find(|v| !self.added.contains(v)) {
+            return Some(format!("recovered element {orphan} was never added"));
+        }
+        None
+    }
 }
 
 /// Sweep using the canonical deterministic script for `cfg.seed`.
@@ -186,126 +214,45 @@ pub fn ds_sweep_script(cfg: &DsSweepConfig, script: &[DsOp]) -> DsSweepOutcome {
             ("variant", super::variant_name(cfg.bug).to_string()),
         ]
     });
-    let models = model_states(cfg.kind, script);
-    let added: BTreeSet<u64> = script
-        .iter()
-        .filter_map(|op| if let DsOp::Add(v) = op { Some(*v) } else { None })
-        .collect();
-    let jobs = resolve_jobs_request(cfg.jobs);
-    // Prefix and reboot pools, reset in place.
-    let pools = PoolFreeList::new(PoolConfig { size: 1 << 20, shards: 8, ..Default::default() });
-    let pols = policies(cfg);
-    let total = script.len();
+    let target = DsTarget {
+        cfg,
+        script,
+        models: model_states(cfg.kind, script),
+        added: script
+            .iter()
+            .filter_map(|op| if let DsOp::Add(v) = op { Some(*v) } else { None })
+            .collect(),
+        policies: vec![
+            CrashPolicy::Pessimistic,
+            CrashPolicy::PendingOnly,
+            CrashPolicy::Optimistic,
+            CrashPolicy::Random(cfg.seed ^ 0xD5_CA5),
+        ],
+        pools: PoolFreeList::new(PoolConfig { size: 1 << 20, shards: 8, ..Default::default() }),
+    };
+    let run = explore(&target, cfg.prune, resolve_jobs_request(cfg.jobs), &SweepSession::default());
+    let images_checked = (script.len() * target.policies.len()) as u64;
     let mut outcome = DsSweepOutcome {
         kind: cfg.kind,
         bug: cfg.bug,
-        steps: total as u64,
-        images_checked: (total * pols.len()) as u64,
-        states_explored: 0,
-        states_pruned: 0,
+        steps: script.len() as u64,
+        images_checked,
+        states_explored: run.explored,
+        states_pruned: images_checked - run.explored,
         violations: Vec::new(),
     };
-
-    if !cfg.prune {
-        // Exhaustive: validate every (step, policy) image; steps fan out
-        // over the shared pool, results merge in step order.
-        let steps: Vec<usize> = (1..=total).collect();
-        let per_step = run_indexed(jobs, steps, |_, s| {
-            let run = run_prefix(cfg, script, s, &pools);
-            pols.iter()
-                .map(|p| validate(cfg, &models, &added, s as u64, &p.apply(&run), &pools))
-                .collect::<Vec<_>>()
-        });
-        for (idx, verdicts) in per_step.into_iter().enumerate() {
-            for (pi, verdict) in verdicts.into_iter().enumerate() {
-                if let Some(detail) = verdict {
-                    outcome.violations.push(DsViolation {
-                        step: idx as u64 + 1,
-                        policy: policy_name(&pols[pi]),
-                        detail,
-                    });
-                }
-            }
-        }
-        outcome.states_explored = outcome.images_checked;
-    } else {
-        // Phase A: probe — image hash + oracle-window digest per crash
-        // point, no recovery.
-        let steps: Vec<usize> = (1..=total).collect();
-        let probes = run_indexed(jobs, steps, |_, s| {
-            let run = run_prefix(cfg, script, s, &pools);
-            let (floor, hi) = window(cfg, s as u64);
-            let mut ctx: Vec<u64> = vec![cfg.oracle as u64, floor, hi];
-            if cfg.oracle {
-                for t in floor..=hi {
-                    digest_state(&mut ctx, &models[t as usize]);
-                }
-            } else {
-                digest_state(&mut ctx, &added.iter().copied().collect::<Vec<u64>>());
-            }
-            let ctx_digest = fnv1a_words(&ctx);
-            pols.iter()
-                .map(|p| fnv1a_words(&[p.apply(&run).content_hash(), ctx_digest]))
-                .collect::<Vec<u64>>()
-        });
-
-        // Elect representatives in canonical (step, policy) order.
-        let mut rep_of: HashMap<u64, (usize, usize)> = HashMap::new();
-        let mut reps_by_step: Vec<(usize, Vec<usize>)> = Vec::new();
-        for (idx, keys) in probes.iter().enumerate() {
-            let s = idx + 1;
-            let mut mine: Vec<usize> = Vec::new();
-            for (pi, &key) in keys.iter().enumerate() {
-                rep_of.entry(key).or_insert_with(|| {
-                    mine.push(pi);
-                    (s, pi)
+    for (idx, step) in run.steps.into_iter().enumerate() {
+        let step = step.expect("a DS sweep is never cancelled");
+        for PolicyVerdict { policy, verdict } in step.verdicts {
+            if let Some(detail) = verdict {
+                outcome.violations.push(DsViolation {
+                    step: idx as u64 + 1,
+                    policy: policy_name(&target.policies[policy]),
+                    detail,
                 });
-            }
-            if !mine.is_empty() {
-                reps_by_step.push((s, mine));
-            }
-        }
-
-        // Phase B: validate only the representatives. Every policy is
-        // still applied in order so representative images are
-        // byte-identical to the exhaustive run's.
-        let results = run_indexed(jobs, reps_by_step.clone(), |_, (s, rep_pis)| {
-            let run = run_prefix(cfg, script, s, &pools);
-            pols.iter()
-                .enumerate()
-                .filter_map(|(pi, p)| {
-                    let img = p.apply(&run);
-                    rep_pis
-                        .contains(&pi)
-                        .then(|| (pi, validate(cfg, &models, &added, s as u64, &img, &pools)))
-                })
-                .collect::<Vec<_>>()
-        });
-        let mut verdicts: HashMap<(usize, usize), Option<String>> = HashMap::new();
-        for ((s, _), frags) in reps_by_step.iter().zip(results) {
-            for (pi, verdict) in frags {
-                verdicts.insert((*s, pi), verdict);
-            }
-        }
-        outcome.states_explored = verdicts.len() as u64;
-        outcome.states_pruned = outcome.images_checked - outcome.states_explored;
-
-        // Merge: propagate verdicts to class members in canonical order,
-        // relabelled with the member's own step and policy.
-        for (idx, keys) in probes.iter().enumerate() {
-            let s = idx + 1;
-            for (pi, key) in keys.iter().enumerate() {
-                if let Some(detail) = &verdicts[&rep_of[key]] {
-                    outcome.violations.push(DsViolation {
-                        step: s as u64,
-                        policy: policy_name(&pols[pi]),
-                        detail: detail.clone(),
-                    });
-                }
             }
         }
     }
-
     obs::counter("ds.images_checked", outcome.images_checked);
     obs::counter("ds.explored", outcome.states_explored);
     obs::counter("ds.pruned", outcome.states_pruned);

@@ -1,250 +1,257 @@
-//! Pruned crash-state exploration.
+//! The crash-exploration engine.
 //!
-//! The exhaustive sweep ([`crate::crashsweep`]) recovers and validates
-//! every crash image at every crash point. Most of those images are
-//! duplicates: a store that persists eagerly reaches the same durable
-//! state under several eviction policies, and an epoch-batched store
-//! parks in the same durable state for whole stretches of the script.
-//! WITCHER-style pruning exploits this: two crash states validate
-//! identically whenever
+//! The paper validates each reported bug by building the crash state it
+//! implies and running recovery on it (§6.2). Every crash sweep in this
+//! crate — the three apps ([`crate::crashsweep`]) and the DS corpus
+//! ([`crate::ds::sweep`]) — is this one engine driven by a
+//! [`CrashTarget`]: a deterministic script whose every prefix
+//! `1..=steps` is replayed against a freshly reset pool and crashed under
+//! every policy, and whose crash images are rebooted, recovered and
+//! validated by the target.
 //!
-//! 1. their persisted pool images are identical
-//!    ([`nvm_runtime::CrashImage::content_hash`] — durable bytes plus
-//!    permanent poison; transient poison is excluded because recovery
-//!    reads through retries), and
-//! 2. the oracle-relevant slice of their operation histories is
-//!    identical ([`crate::workloads::OpHistory::digest`] — the acked map
-//!    and the buggy-key set), and
-//! 3. they agree on whether injected faults dropped any `clwb` (the
-//!    fault-attribution escape hatch), and
-//! 4. for the strict apps (Redis, NStore) they sit at the same crash
-//!    step — the prefix-cut oracle and the corruption check consult the
-//!    *full* write history, which grows per step, so cross-step
-//!    collapsing is only sound for Memcached, whose epoch batching skips
-//!    the prefix oracle and whose per-key checks are monotone in the
-//!    history.
+//! Most crash states are duplicates: a store that persists eagerly
+//! reaches the same durable state under several eviction policies, and
+//! an epoch-batched store parks in one durable state for whole stretches
+//! of the script. With `prune` set the engine explores WITCHER-style:
+//! two crash points validate identically whenever their persisted images
+//! are identical ([`nvm_runtime::CrashImage::content_hash`] — durable
+//! bytes plus permanent poison; transient poison is excluded because
+//! recovery reads through retries) *and* they agree on the target's
+//! [`CrashTarget::class_context`] (everything besides the image the
+//! verdict depends on).
 //!
-//! Exploration runs in two phases over the same work-stealing pool the
-//! exhaustive sweep uses. Phase A (probe) runs every script prefix,
-//! materializes every crash image, and buckets each `(step, policy)`
-//! crash point by the class key above — no reboot, no recovery. Phase B
-//! (validate) re-runs only the steps that own a class representative and
-//! validates just those images with the exact code the exhaustive sweep
-//! uses ([`crate::crashsweep::validate_image`]); every policy is still
-//! *applied* in order so the fault plan's RNG stream — which advances
-//! per application — stays byte-identical to the exhaustive run. The
-//! merge then propagates each representative's verdict to every member
-//! of its class, relabelling violations with the member's own step and
-//! policy. The reported outcome is counter-for-counter and
-//! violation-for-violation equal to the exhaustive sweep's; only the
-//! explored/pruned split differs.
+//! An exploration runs in up to two passes over the shared work-stealing
+//! pool:
 //!
-//! Phase-B steps journal as [`crate::crashsweep::JournalEntry::Explore`]
-//! entries, so an interrupted pruned run resumes exactly like an
-//! exhaustive one (the config fingerprint covers the prune flag, so the
-//! two modes never replay each other's journals).
+//! 1. *Probe* (pruned only): replay every prefix, hash every crash image
+//!    and bucket each `(step, policy)` point by its class key — no
+//!    reboot, no recovery. Representatives are elected in canonical
+//!    `(step, policy)` order, so the election (and with it the journal
+//!    and the output) is the same for every worker count. Exhaustively
+//!    this pass is skipped and every point is its own representative.
+//! 2. *Validate*: replay each step that owns a representative once,
+//!    apply every policy in order (the fault plan's RNG advances per
+//!    application, so representative images are byte-identical to the
+//!    exhaustive run's) and recover and validate the representatives'
+//!    images as they are built — no image is held past its validation.
+//!
+//! The merge then hands every crash point its representative's verdict,
+//! in canonical order; the caller relabels it with the point's own step
+//! and policy. Counter for counter and violation for violation, the
+//! pruned result equals the exhaustive one; only the explored/pruned
+//! split differs.
+//!
+//! Validated steps journal as one [`StepEntry`] each through the
+//! [`SweepSession`], so an interrupted exploration resumes from its last
+//! completed step in either mode (the journal fingerprint covers the
+//! prune flag, so the two modes never replay each other's entries).
 
-use crate::crashsweep::{
-    dynamic_cross_check, policies, policy_name, run_prefix, script, sweep_pools, validate_image,
-    ExploreFrag, JournalEntry, StepOutcome, SweepApp, SweepConfig, SweepOutcome, SweepSession,
-    Violation,
-};
-use deepmc_analysis::pool::{resolve_jobs_request, run_indexed};
+use crate::crashsweep::SweepSession;
+use deepmc_analysis::pool::run_indexed;
 use deepmc_obs as obs;
 use nvm_runtime::hash::fnv1a_words;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use nvm_runtime::{CrashImage, CrashPolicy, PooledPool};
+use serde::{Deserialize, Serialize};
+use std::collections::{HashMap, HashSet};
 
-/// Everything phase A learns about one crash step.
-struct StepProbe {
-    /// Equivalence-class key per policy (index-aligned with
-    /// [`policies`]).
-    class_keys: Vec<u64>,
-    /// `clwb`s the fault plan dropped during this step's prefix run.
-    flush_faults: u64,
+/// A script prefix run against a freshly reset pool, ready to crash.
+pub(crate) struct Replay<'a, H> {
+    pub(crate) pool: PooledPool<'a>,
+    /// What the target's validation compares the recovered state with.
+    pub(crate) history: H,
 }
 
-/// What one phase-B pool job produced for a representative-owning step.
-enum ExploreResult {
-    /// Session cancelled before the step started.
-    Skipped,
-    /// Replayed from the journal.
-    Resumed(Vec<ExploreFrag>),
-    /// Freshly validated.
-    Computed(Vec<ExploreFrag>),
+/// What the engine explores: a deterministic script and its crash
+/// policies, plus how to replay a prefix (on pools the target owns) and
+/// how to judge a recovered crash image.
+pub(crate) trait CrashTarget: Sync {
+    /// Per-replay record the validation needs besides the pool.
+    type History;
+    /// The verdict on one recovered crash state.
+    type Verdict: Clone + Send + Serialize + for<'de> Deserialize<'de>;
+
+    /// The span each validated crash step is recorded under.
+    const STEP_SPAN: &'static str;
+
+    /// Names the target in spans and journal entries.
+    fn name(&self) -> &str;
+    /// Script length; every prefix `1..=steps()` is crashed.
+    fn steps(&self) -> usize;
+    /// The crash policies, in canonical order.
+    fn policies(&self) -> &[CrashPolicy];
+    /// Run the first `step` script ops against a freshly reset pool.
+    fn replay(&self, step: usize) -> Replay<'_, Self::History>;
+    /// Digest of everything besides the crash image that a verdict at
+    /// `step` depends on: crash points agreeing on it and on the image
+    /// hash are one class.
+    fn class_context(&self, step: usize, run: &Replay<'_, Self::History>) -> u64;
+    /// Reboot `img` (crashed under policy index `policy`), recover and
+    /// validate.
+    fn recover_validate(
+        &self,
+        run: &Replay<'_, Self::History>,
+        step: usize,
+        policy: usize,
+        img: &CrashImage,
+    ) -> Self::Verdict;
 }
 
-/// Pruned counterpart of the exhaustive `sweep_app_session`: same
-/// signature, same outcome (minus the explored/pruned split), a fraction
-/// of the recoveries.
-pub(crate) fn explore_app_session(
-    cfg: &SweepConfig,
-    app: SweepApp,
+/// One crash step's result: the `clwb`s fault injection dropped during
+/// its prefix run plus policy verdicts. Journaled with the step's
+/// validated representatives; in an [`Exploration`] it carries every
+/// policy, in order.
+#[derive(Clone, Serialize, Deserialize)]
+pub(crate) struct StepEntry<V> {
+    pub(crate) flushes_dropped: u64,
+    pub(crate) verdicts: Vec<PolicyVerdict<V>>,
+}
+
+/// The verdict on the crash image of one policy (an index into
+/// [`CrashTarget::policies`]).
+#[derive(Clone, Serialize, Deserialize)]
+pub(crate) struct PolicyVerdict<V> {
+    pub(crate) policy: usize,
+    pub(crate) verdict: V,
+}
+
+/// The merged result of [`explore`].
+pub(crate) struct Exploration<V> {
+    /// Per crash step in order; `None` where cancellation left one of
+    /// the step's representatives unvalidated.
+    pub(crate) steps: Vec<Option<StepEntry<V>>>,
+    /// Crash states actually recovered and validated.
+    pub(crate) explored: u64,
+    /// Steps replayed from the journal instead of re-executed.
+    pub(crate) resumed: u64,
+}
+
+/// Explore every crash point of `target`, validating one representative
+/// per equivalence class with `prune` and every point without.
+pub(crate) fn explore<T: CrashTarget>(
+    target: &T,
+    prune: bool,
+    jobs: usize,
     session: &SweepSession<'_>,
-) -> (SweepOutcome, u64, u64) {
-    let _s = obs::span_lazy("sweep.explore", || vec![("app", app.name().to_string())]);
-    let total_steps = script(cfg).len();
-    let mut outcome = SweepOutcome::empty(app);
-    if session.is_cancelled() {
-        return (outcome, 0, total_steps as u64);
-    }
-    let jobs = resolve_jobs_request(cfg.jobs);
-    let pools = sweep_pools();
-    outcome.dynamic_reports = dynamic_cross_check(cfg, app, &pools);
-    let pols = policies(cfg);
-
-    // Phase A: probe every crash point — image hash + history digest per
-    // (step, policy), no recovery. Steps are independent, so this fans
-    // out too; probes land in step order regardless of worker count.
-    let steps: Vec<usize> = (1..=total_steps).collect();
-    let probes = run_indexed(jobs, steps, |_, crash_step| {
-        if session.is_cancelled() {
-            return None;
-        }
-        let _s = obs::span_lazy("explore.probe", || vec![("step", crash_step.to_string())]);
-        let run = run_prefix(cfg, app, crash_step, &pools);
-        let flush_faults = run.pool.stats().dropped_flushes;
-        let digest = run.history.digest();
-        // Cross-step collapsing is only sound for Memcached (see module
-        // docs); the strict apps key on their step as well.
-        let step_key = if app == SweepApp::Memcached { 0 } else { crash_step as u64 };
-        let class_keys = pols
-            .iter()
-            .map(|p| {
-                let img = p.apply(&run.pool);
-                fnv1a_words(&[img.content_hash(), digest, (flush_faults > 0) as u64, step_key])
-            })
-            .collect();
-        Some(StepProbe { class_keys, flush_faults })
-    });
-    if probes.iter().any(Option::is_none) {
-        // Cancelled mid-probe: nothing was validated or journaled.
-        return (outcome, 0, total_steps as u64);
-    }
-    let probes: Vec<StepProbe> = probes.into_iter().flatten().collect();
-
-    // Elect representatives in canonical (step, policy) order so the
-    // assignment — and therefore the journal and the output — is
-    // identical for every worker count.
-    let mut rep_of: HashMap<u64, (usize, usize)> = HashMap::new();
-    let mut reps_by_step: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for (idx, probe) in probes.iter().enumerate() {
-        let crash_step = idx + 1;
-        for (pi, &key) in probe.class_keys.iter().enumerate() {
-            rep_of.entry(key).or_insert_with(|| {
-                reps_by_step.entry(crash_step).or_default().push(pi);
-                (crash_step, pi)
-            });
-        }
-    }
-
-    // Phase B: recover + validate only the representatives. Every policy
-    // is still applied in order (the fault plan's RNG advances per
-    // apply), so representative images are byte-identical to the
-    // exhaustive sweep's.
-    let rep_steps: Vec<(usize, Vec<usize>)> = reps_by_step.into_iter().collect();
-    let results = run_indexed(jobs, rep_steps.clone(), |_, (crash_step, rep_pis)| {
-        if session.is_cancelled() {
-            return ExploreResult::Skipped;
-        }
-        if let Some(journal) = session.journal {
-            if let Some(frags) = journal.lookup_explore(app.name(), crash_step as u64) {
-                obs::counter("sweep.resumed_steps", 1);
-                return ExploreResult::Resumed(frags.clone());
+) -> Exploration<T::Verdict> {
+    let steps = target.steps();
+    let points = target.policies().len();
+    let mut flushes: Vec<Option<u64>> = vec![None; steps];
+    // The class key of every crash point, per step. Exhaustively each
+    // point is a class of its own.
+    let keys: Vec<Vec<u64>> = if prune {
+        let probes = run_indexed(jobs, (1..=steps).collect(), |_, step| {
+            if session.is_cancelled() {
+                return None;
             }
-        }
-        let _s = obs::span_lazy("explore.validate", || vec![("step", crash_step.to_string())]);
-        let run = run_prefix(cfg, app, crash_step, &pools);
-        let flush_faults = run.pool.stats().dropped_flushes;
-        let mut frags: Vec<ExploreFrag> = Vec::with_capacity(rep_pis.len());
-        for (pi, policy) in pols.iter().enumerate() {
-            let img = policy.apply(&run.pool);
-            if rep_pis.contains(&pi) {
-                let mut frag = StepOutcome::default();
-                validate_image(
-                    cfg,
-                    app,
-                    crash_step,
-                    policy,
-                    &img,
-                    &run.history,
-                    flush_faults,
-                    &pools,
-                    &mut frag,
-                );
-                frags.push(ExploreFrag { policy: pi, outcome: frag });
-            }
-        }
-        if let Some(journal) = session.journal {
-            let journaled = journal.append(
-                app.name(),
-                crash_step as u64,
-                &JournalEntry::Explore(frags.clone()),
-            );
-            if session.trip_after.is_some_and(|t| journaled >= t) {
-                session.cancel();
-            }
-        }
-        ExploreResult::Computed(frags)
-    });
-
-    let mut resumed = 0u64;
-    let mut frag_map: HashMap<(usize, usize), StepOutcome> = HashMap::new();
-    for ((crash_step, _), result) in rep_steps.iter().zip(results) {
-        let frags = match result {
-            ExploreResult::Skipped => continue,
-            ExploreResult::Resumed(f) => {
-                resumed += 1;
-                f
-            }
-            ExploreResult::Computed(f) => f,
+            let _s = obs::span_lazy("explore.probe", || vec![("step", step.to_string())]);
+            let run = target.replay(step);
+            let context = target.class_context(step, &run);
+            let keys = target
+                .policies()
+                .iter()
+                .map(|p| fnv1a_words(&[p.apply(&run.pool).content_hash(), context]))
+                .collect::<Vec<u64>>();
+            Some((run.pool.stats().dropped_flushes, keys))
+        });
+        let Some(probes) = probes.into_iter().collect::<Option<Vec<_>>>() else {
+            // Cancelled mid-probe: nothing was validated or journaled.
+            return Exploration { steps: vec![None; steps], explored: 0, resumed: 0 };
         };
-        for frag in frags {
-            frag_map.insert((*crash_step, frag.policy), frag.outcome);
+        let (dropped, keys): (Vec<u64>, _) = probes.into_iter().unzip();
+        flushes = dropped.into_iter().map(Some).collect();
+        keys
+    } else {
+        (0..steps).map(|i| (0..points).map(|pi| (i * points + pi) as u64).collect()).collect()
+    };
+
+    // Elect the first member of each class, in canonical order, as its
+    // representative; `owned` lists the steps that own one.
+    let mut rep_of: HashMap<u64, (usize, usize)> = HashMap::new();
+    let mut owned: Vec<(usize, Vec<usize>)> = Vec::new();
+    let mut reps: Vec<Vec<(usize, usize)>> = Vec::with_capacity(steps);
+    for (i, step_keys) in keys.iter().enumerate() {
+        let step = i + 1;
+        let mut mine = Vec::new();
+        let mut step_reps = Vec::with_capacity(points);
+        for (pi, &key) in step_keys.iter().enumerate() {
+            step_reps.push(*rep_of.entry(key).or_insert_with(|| {
+                mine.push(pi);
+                (step, pi)
+            }));
         }
+        if !mine.is_empty() {
+            owned.push((step, mine));
+        }
+        reps.push(step_reps);
     }
 
-    // Merge: propagate each representative's verdict to every member of
-    // its class, in canonical (step, policy) order — the same order the
-    // exhaustive sweep emits. A step any of whose representatives is
-    // missing (cancelled before validation) counts as skipped, exactly
-    // like an unexecuted exhaustive step.
-    let mut skipped = 0u64;
+    let results = run_indexed(jobs, owned.clone(), |_, (step, mine)| {
+        validate_step(target, session, step, &mine)
+    });
+    let mut resumed = 0u64;
+    let mut verdicts: HashMap<(usize, usize), T::Verdict> = HashMap::new();
+    for ((step, _), result) in owned.iter().zip(results) {
+        let Some((entry, from_journal)) = result else { continue };
+        resumed += from_journal as u64;
+        flushes[step - 1] = Some(entry.flushes_dropped);
+        verdicts.extend(entry.verdicts.into_iter().map(|v| ((*step, v.policy), v.verdict)));
+    }
+
+    // Merge: every crash point takes its representative's verdict. A step
+    // any of whose representatives is missing counts as skipped.
     let mut explored: HashSet<(usize, usize)> = HashSet::new();
-    for (idx, probe) in probes.iter().enumerate() {
-        let crash_step = idx + 1;
-        let reps: Vec<(usize, usize)> = probe.class_keys.iter().map(|key| rep_of[key]).collect();
-        if reps.iter().any(|rep| !frag_map.contains_key(rep)) {
-            skipped += 1;
-            continue;
-        }
-        outcome.flushes_dropped += probe.flush_faults;
-        for (pi, rep) in reps.into_iter().enumerate() {
-            let frag = &frag_map[&rep];
-            explored.insert(rep);
-            outcome.images_checked += frag.images_checked;
-            outcome.records_dropped += frag.records_dropped;
-            outcome.fault_attributed += frag.fault_attributed;
-            outcome.bug_attributed += frag.bug_attributed;
-            for v in &frag.violations {
-                outcome.violations.push(Violation {
-                    app: v.app.clone(),
-                    crash_step: crash_step as u64,
-                    policy: policy_name(&pols[pi]),
-                    key: v.key,
-                    detail: v.detail.clone(),
-                });
-            }
+    let mut members = 0u64;
+    let steps = reps
+        .iter()
+        .zip(flushes)
+        .map(|(step_reps, flushes_dropped)| {
+            let verdicts = step_reps
+                .iter()
+                .enumerate()
+                .map(|(policy, rep)| {
+                    Some(PolicyVerdict { policy, verdict: verdicts.get(rep)?.clone() })
+                })
+                .collect::<Option<Vec<_>>>()?;
+            explored.extend(step_reps);
+            members += step_reps.len() as u64;
+            Some(StepEntry { flushes_dropped: flushes_dropped?, verdicts })
+        })
+        .collect();
+    obs::progress::add_pruned(members - explored.len() as u64);
+    Exploration { steps, explored: explored.len() as u64, resumed }
+}
+
+/// Validate the representatives `mine` of one crash step, or replay the
+/// step from the journal. `None` if the session was cancelled first; the
+/// flag says whether the entry came from the journal.
+fn validate_step<T: CrashTarget>(
+    target: &T,
+    session: &SweepSession<'_>,
+    step: usize,
+    mine: &[usize],
+) -> Option<(StepEntry<T::Verdict>, bool)> {
+    if session.is_cancelled() {
+        return None;
+    }
+    if let Some(entry) = session.lookup(target.name(), step) {
+        obs::counter("sweep.resumed_steps", 1);
+        return Some((entry, true));
+    }
+    let _s = obs::span_lazy(T::STEP_SPAN, || {
+        vec![("app", target.name().to_string()), ("step", step.to_string())]
+    });
+    let run = target.replay(step);
+    let mut entry = StepEntry {
+        flushes_dropped: run.pool.stats().dropped_flushes,
+        verdicts: Vec::with_capacity(mine.len()),
+    };
+    for (pi, policy) in target.policies().iter().enumerate() {
+        let img = policy.apply(&run.pool);
+        if mine.contains(&pi) {
+            let verdict = target.recover_validate(&run, step, pi, &img);
+            entry.verdicts.push(PolicyVerdict { policy: pi, verdict });
         }
     }
-    outcome.states_explored = explored.len() as u64;
-    outcome.states_pruned = outcome.images_checked - outcome.states_explored;
-    obs::progress::add_pruned(outcome.states_pruned);
-    obs::counter("sweep.images_checked", outcome.images_checked);
-    obs::counter("sweep.records_dropped", outcome.records_dropped);
-    obs::counter("sweep.fault_attributed", outcome.fault_attributed);
-    obs::counter("sweep.bug_attributed", outcome.bug_attributed);
-    obs::counter("sweep.violations", outcome.violations.len() as u64);
-    obs::counter("sweep.explored", outcome.states_explored);
-    obs::counter("sweep.pruned", outcome.states_pruned);
-    (outcome, resumed, skipped)
+    session.record(target.name(), step, &entry);
+    Some((entry, false))
 }

@@ -69,7 +69,9 @@ proptest! {
     }
 
     /// The crash-visible seeded variants stay caught on generated
-    /// histories too, not just the canonical script. A short suffix
+    /// histories too, not just the canonical script, and the pruned sweep
+    /// reports exactly the exhaustive sweep's violations, byte for byte at
+    /// `--jobs 1` and `--jobs 4`. A short suffix
     /// guarantees every bug's trigger exists regardless of what was
     /// generated: keys 7/8 are outside the generated range, so the adds
     /// always take effect, the remove completes with the structure still
@@ -82,7 +84,7 @@ proptest! {
     ) {
         let mut script = prefix;
         script.extend([DsOp::Add(7), DsOp::Add(8), DsOp::Remove(7)]);
-        while script.len() as u64 % kind.batch() != 0 {
+        while !(script.len() as u64).is_multiple_of(kind.batch()) {
             script.push(DsOp::Add(7));
         }
         for &bug in kind.seeded_bugs() {
@@ -100,6 +102,13 @@ proptest! {
                 bug.name(),
                 out.summary()
             );
+
+            cfg.prune = true;
+            let pruned = ds_sweep_script(&cfg, &script);
+            prop_assert_eq!(&out.violations, &pruned.violations, "{}/{}", kind.name(), bug.name());
+            cfg.jobs = 4;
+            let pruned_par = ds_sweep_script(&cfg, &script);
+            prop_assert_eq!(pruned.summary(), pruned_par.summary());
         }
     }
 }

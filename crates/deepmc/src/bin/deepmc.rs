@@ -794,13 +794,7 @@ fn cmd_crash(args: &[String]) -> ExitCode {
             Ok(Outcome::Crashed { .. }) => {
                 crashes += 1;
                 for seed in 0..seeds {
-                    let img = CrashPolicy::Random(seed).apply(&pool);
-                    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-                    use std::hash::{Hash, Hasher};
-                    let mut buf = vec![0u8; img.len().min(1 << 16)];
-                    img.read(nvm_runtime::PAddr(0), &mut buf);
-                    buf.hash(&mut hasher);
-                    distinct_images.insert(hasher.finish());
+                    distinct_images.insert(CrashPolicy::Random(seed).apply(&pool).content_hash());
                 }
             }
             Err(e) => {

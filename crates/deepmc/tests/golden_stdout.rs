@@ -41,3 +41,22 @@ fn pruned_oracle_bug_crashsweep_matches_golden() {
 fn ds_corpus_check_matches_golden() {
     assert_golden(&["check", "--ds", "all"], "check_ds_all.txt");
 }
+
+/// `deepmc crash` counts distinct durable states by the crash image's
+/// content hash, so states that differ only past the tx log (where the
+/// program's data lives) are told apart.
+#[test]
+fn crash_matrix_counts_every_distinct_durable_state() {
+    let fixture =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../corpus/tests/fixtures/obs_golden.pir");
+    for (root, want) in [
+        ("root_buggy", "13 crash points × 16 eviction orders → 6 distinct durable states"),
+        ("root_clean", "9 crash points × 16 eviction orders → 4 distinct durable states"),
+    ] {
+        let out = Command::new(BIN).arg("crash").arg(root).arg(&fixture).output().expect("spawn");
+        assert!(out.status.success(), "`deepmc crash {root}` exited {:?}", out.status.code());
+        let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+        let first = stdout.lines().next().unwrap_or_default();
+        assert_eq!(first, format!("crash matrix: {want}"), "{root}");
+    }
+}
